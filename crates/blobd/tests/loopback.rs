@@ -186,6 +186,29 @@ fn swap_out_kill_a_daemon_and_reload_via_failover() {
 }
 
 #[test]
+fn idle_pumps_cost_the_daemons_nothing() {
+    // Warm-up discovered both stores; from here on nothing swaps, so the
+    // policy pumps (one per 64 quiet invokes) must not reach a daemon.
+    let (mut mw, root, _devices, handles) = tcp_world();
+    let served = |handles: &[BlobdHandle]| -> Vec<u64> {
+        handles.iter().map(BlobdHandle::ops_served).collect()
+    };
+    let before = served(&handles);
+    for _ in 0..256 {
+        assert_eq!(mw.invoke_i64(root, "length", vec![]).expect("invoke"), 40);
+    }
+    assert_eq!(mw.swap_stats().swap_outs, 0, "no memory pressure");
+    assert_eq!(
+        served(&handles),
+        before,
+        "an idle pump sends no frame to any daemon"
+    );
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+#[test]
 fn child_process_daemon_round_trips_blobs() {
     // The real deployment shape: obiwan-blobd as a separate OS process,
     // its ephemeral port learned from its stdout banner.

@@ -161,7 +161,9 @@ impl SwappingManager {
     }
 
     /// Try to drop blobs orphaned by failed swap-outs (best effort; a
-    /// departed device keeps its orphan until it returns).
+    /// departed device keeps its orphan until it returns). Returns how
+    /// many orphans were cleared, including any whose holder no longer
+    /// had the blob.
     pub fn sweep_orphaned_blobs(&self) -> usize {
         let mut dropped = 0;
         for idx in 0..self.shards.len() {
@@ -1020,12 +1022,22 @@ pub(crate) fn holder_candidates(
 }
 
 /// Drop one shard's orphaned blobs, best effort. Caller holds the shard
-/// guard and the net guard (in that order).
+/// guard and the net guard (in that order). An orphan on a device with no
+/// live link is kept without a call: `drop_blob` would refuse it on that
+/// same condition before touching the fabric. A holder that answers
+/// `UnknownBlob` has nothing left to reclaim, so that orphan is retired
+/// too: the entry was tracked twice (two repair passes pruning the same
+/// departed holder) or its copy is already gone, and retrying it would
+/// fail on every sweep.
 pub(crate) fn sweep_shard_orphans(net: &mut NetFabric, home: DeviceId, shard: &mut Shard) -> usize {
     let before = shard.orphaned_blobs.len();
-    shard
-        .orphaned_blobs
-        .retain(|(device, key)| net.drop_blob(home, *device, key).is_err());
+    shard.orphaned_blobs.retain(|(device, key)| {
+        net.link(home, *device).is_none()
+            || !matches!(
+                net.drop_blob(home, *device, key),
+                Ok(()) | Err(NetError::UnknownBlob { .. })
+            )
+    });
     before - shard.orphaned_blobs.len()
 }
 

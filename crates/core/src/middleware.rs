@@ -774,19 +774,20 @@ impl Middleware {
             {
                 events.push(e);
             }
+            // Free space is asked of newly discovered devices only: on a
+            // live fabric each answer is a round trip to the store.
             let net = lock_net(&self.net)?;
-            let present: Vec<(i64, i64)> = net
+            let present: Vec<i64> = net
                 .nearby(self.home)
                 .into_iter()
-                .map(|d| {
-                    (
-                        i64::from(d.index()),
-                        net.free_storage(d).unwrap_or(0) as i64,
-                    )
-                })
+                .map(|d| i64::from(d.index()))
                 .collect();
-            drop(net);
-            events.extend(self.context.observe_devices(&present));
+            events.extend(self.context.observe_devices(&present, |d| {
+                u32::try_from(d)
+                    .ok()
+                    .and_then(|raw| net.free_storage(DeviceId::from_index(raw)).ok())
+                    .map_or(0, |free| free as i64)
+            }));
         }
         let mut actions: Vec<Action> = Vec::new();
         for event in &events {

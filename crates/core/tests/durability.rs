@@ -177,6 +177,41 @@ fn repair_readopts_a_returning_holder_without_airtime() {
 }
 
 #[test]
+fn orphan_sweep_waits_for_a_departed_holder_and_retires_a_vanished_copy() {
+    let (mut mw, _root, _devices) = k_world(3, 2, false);
+    let home = mw.home_device();
+    // Two clusters out on the same primary; it departs, and the repair
+    // prunes it, leaving one tracked orphan per cluster on it.
+    mw.swap_out(2).unwrap();
+    mw.swap_out(3).unwrap();
+    let (lost_key, held) = holders(&mw, 2);
+    let (kept_key, held_3) = holders(&mw, 3);
+    let primary = held[0];
+    assert!(held_3.contains(&primary), "placement is deterministic");
+    mw.net().lock().unwrap().depart(primary).unwrap();
+    mw.manager().repair_placements().unwrap();
+    let manager = mw.manager();
+    assert_eq!(
+        manager.sweep_orphaned_blobs(),
+        0,
+        "a departed holder keeps its orphans"
+    );
+    mw.net().lock().unwrap().arrive(primary).unwrap();
+    // One copy vanished while the holder was away: nothing to reclaim
+    // there, so that orphan is retired rather than retried on every sweep.
+    mw.net()
+        .lock()
+        .unwrap()
+        .drop_blob(home, primary, &lost_key)
+        .unwrap();
+    assert_eq!(manager.sweep_orphaned_blobs(), 2, "both orphans cleared");
+    assert_eq!(manager.sweep_orphaned_blobs(), 0, "nothing left to retry");
+    assert!(!mw.net().lock().unwrap().holds_blob(primary, &kept_key));
+    let report = mw.audit();
+    assert!(!report.has_errors(), "{report}");
+}
+
+#[test]
 fn reload_and_gc_drop_every_copy() {
     // Reload path: drop_blob_on_reload fans out to both holders.
     let (mut mw, root, devices) = k_world(2, 2, false);

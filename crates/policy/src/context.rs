@@ -3,7 +3,7 @@
 //! and network connectivity").
 
 use crate::PolicyEvent;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Memory watermarks with hysteresis.
 ///
@@ -62,7 +62,7 @@ impl Default for Watermarks {
 pub struct ContextManager {
     watermarks: Watermarks,
     pressured: bool,
-    known_devices: HashSet<i64>,
+    known_devices: BTreeSet<i64>,
 }
 
 impl ContextManager {
@@ -71,7 +71,7 @@ impl ContextManager {
         ContextManager {
             watermarks,
             pressured: false,
-            known_devices: HashSet::new(),
+            known_devices: BTreeSet::new(),
         }
     }
 
@@ -108,22 +108,29 @@ impl ContextManager {
         None
     }
 
-    /// Feed the current set of reachable storage devices (with free bytes);
-    /// returns discovery / loss events for the delta.
-    pub fn observe_devices(&mut self, present: &[(i64, i64)]) -> Vec<PolicyEvent> {
-        let now: HashSet<i64> = present.iter().map(|(d, _)| *d).collect();
+    /// Feed the ids of the currently reachable storage devices; returns
+    /// discovery / loss events for the delta, losses in id order.
+    ///
+    /// `free_storage` is asked only for the devices reported in a
+    /// [`PolicyEvent::DeviceDiscovered`]: a device already known costs no
+    /// lookup, and one that left and came back is discovered (and asked)
+    /// again. On a live fabric each lookup is a round trip to the store.
+    pub fn observe_devices(
+        &mut self,
+        present: &[i64],
+        mut free_storage: impl FnMut(i64) -> i64,
+    ) -> Vec<PolicyEvent> {
+        let now: BTreeSet<i64> = present.iter().copied().collect();
         let mut events = Vec::new();
-        for &(device, free_storage) in present {
+        for &device in present {
             if !self.known_devices.contains(&device) {
                 events.push(PolicyEvent::DeviceDiscovered {
                     device,
-                    free_storage,
+                    free_storage: free_storage(device),
                 });
             }
         }
-        let mut lost: Vec<i64> = self.known_devices.difference(&now).copied().collect();
-        lost.sort_unstable();
-        for device in lost {
+        for &device in self.known_devices.difference(&now) {
             events.push(PolicyEvent::DeviceLost {
                 device,
                 blobs_held: 0,
@@ -171,25 +178,103 @@ mod tests {
         assert!(cm.observe_memory(100, 0).is_none());
     }
 
+    /// Free bytes of the test room's devices.
+    fn room(device: i64) -> i64 {
+        device * 100
+    }
+
     #[test]
     fn device_deltas_produce_discovery_and_loss() {
         let mut cm = ContextManager::new(Watermarks::default());
-        let evs = cm.observe_devices(&[(1, 100), (2, 200)]);
-        assert_eq!(evs.len(), 2);
-        assert!(evs
-            .iter()
-            .all(|e| matches!(e, PolicyEvent::DeviceDiscovered { .. })));
+        let evs = cm.observe_devices(&[1, 2], room);
+        assert_eq!(
+            evs,
+            vec![
+                PolicyEvent::DeviceDiscovered {
+                    device: 1,
+                    free_storage: 100
+                },
+                PolicyEvent::DeviceDiscovered {
+                    device: 2,
+                    free_storage: 200
+                },
+            ]
+        );
         // No change → no events.
-        assert!(cm.observe_devices(&[(1, 100), (2, 200)]).is_empty());
+        assert!(cm.observe_devices(&[1, 2], room).is_empty());
         // 2 leaves, 3 arrives.
-        let evs = cm.observe_devices(&[(1, 100), (3, 50)]);
+        let evs = cm.observe_devices(&[1, 3], room);
+        assert_eq!(
+            evs,
+            vec![
+                PolicyEvent::DeviceDiscovered {
+                    device: 3,
+                    free_storage: 300
+                },
+                PolicyEvent::DeviceLost {
+                    device: 2,
+                    blobs_held: 0
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn free_storage_is_asked_only_on_discovery() {
+        fn observe(
+            cm: &mut ContextManager,
+            present: &[i64],
+            asked: &mut Vec<i64>,
+        ) -> Vec<PolicyEvent> {
+            cm.observe_devices(present, |d| {
+                asked.push(d);
+                room(d)
+            })
+        }
+        let mut cm = ContextManager::new(Watermarks::default());
+        let mut asked: Vec<i64> = Vec::new();
+        // Exactly one lookup per newly present device.
+        let evs = observe(&mut cm, &[1, 2], &mut asked);
+        assert_eq!(asked, vec![1, 2]);
         assert_eq!(evs.len(), 2);
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e, PolicyEvent::DeviceDiscovered { device: 3, .. })));
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e, PolicyEvent::DeviceLost { device: 2, .. })));
+        // A repeat observation asks nothing.
+        asked.clear();
+        assert!(observe(&mut cm, &[1, 2], &mut asked).is_empty());
+        assert!(asked.is_empty());
+        // Leaving asks nothing; returning is a fresh discovery, asked once.
+        let evs = observe(&mut cm, &[1], &mut asked);
+        assert!(asked.is_empty());
+        assert_eq!(
+            evs,
+            vec![PolicyEvent::DeviceLost {
+                device: 2,
+                blobs_held: 0
+            }]
+        );
+        let evs = observe(&mut cm, &[1, 2], &mut asked);
+        assert_eq!(asked, vec![2]);
+        assert_eq!(
+            evs,
+            vec![PolicyEvent::DeviceDiscovered {
+                device: 2,
+                free_storage: 200
+            }]
+        );
+    }
+
+    #[test]
+    fn losses_come_out_in_id_order() {
+        let mut cm = ContextManager::new(Watermarks::default());
+        cm.observe_devices(&[9, 4, 7, 1], room);
+        let lost: Vec<i64> = cm
+            .observe_devices(&[], room)
+            .into_iter()
+            .map(|e| match e {
+                PolicyEvent::DeviceLost { device, .. } => device,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(lost, vec![1, 4, 7, 9]);
     }
 
     #[test]
