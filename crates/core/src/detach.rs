@@ -67,6 +67,15 @@ struct ShipRecord {
     at_us: u64,
 }
 
+/// What a committed detach released.
+pub(crate) struct Detached {
+    /// Payload bytes shipped (the encoded blob's length).
+    shipped: usize,
+    /// Heap bytes the detached members occupy until the next collection
+    /// frees them.
+    member_bytes: usize,
+}
+
 /// What the shipping phase produced. Infallible by construction: lock
 /// poisoning and hard network errors are carried in `hard_error` so the
 /// commit phase always runs and the `detach_start` pair is always closed.
@@ -151,6 +160,16 @@ impl SwappingManager {
     /// plus codec/heap errors. The graph is only mutated after the blob has
     /// been stored successfully.
     pub fn swap_out(&self, p: &mut Process, sc: u32) -> Result<usize> {
+        let detached = self.detach(p, sc)?;
+        if self.config().collect_after_swap_out {
+            p.collect();
+        }
+        Ok(detached.shipped)
+    }
+
+    /// Swap-out without the collection: prepare, ship and commit. The
+    /// members stay on the heap, unreachable, until the next collection.
+    fn detach(&self, p: &mut Process, sc: u32) -> Result<Detached> {
         let prep = self.detach_prepare(p, sc)?;
         let shipped = ship_copies(&self.net, &prep);
         self.detach_commit(p, prep, shipped)
@@ -266,34 +285,24 @@ impl SwappingManager {
     /// perform the graph surgery — under coordinator + shard locks (in
     /// that order). Always closes the trace pair opened by
     /// [`SwappingManager::detach_prepare`] — `detach_end` on success,
-    /// `detach_abort` on any error.
+    /// `detach_abort` on any error. Collecting the detached members is
+    /// left to the caller.
     pub(crate) fn detach_commit(
         &self,
         p: &mut Process,
         prep: DetachPrep,
         shipped: ShipOutcome,
-    ) -> Result<usize> {
+    ) -> Result<Detached> {
         let sc = prep.sc;
         let outcome = {
             let mut c = lock_coordinator(&self.coordinator)?;
             let mut shard = lock_shard(&self.shards, self.shard_of(sc))?;
-            let collect = c.config.collect_after_swap_out;
             self.commit_body(p, &mut c, &mut shard, &prep, shipped)
-                .map(|bytes| (bytes, collect))
         };
-        match outcome {
-            Ok((bytes, collect)) => {
-                // Realize the memory release outside every lock.
-                if collect {
-                    p.collect();
-                }
-                Ok(bytes)
-            }
-            Err(e) => {
-                self.recorder.detach_abort(sc);
-                Err(e)
-            }
+        if outcome.is_err() {
+            self.recorder.detach_abort(sc);
         }
+        outcome
     }
 
     /// The fallible interior of [`SwappingManager::detach_commit`].
@@ -304,7 +313,7 @@ impl SwappingManager {
         shard: &mut Shard,
         prep: &DetachPrep,
         shipped: ShipOutcome,
-    ) -> Result<usize> {
+    ) -> Result<Detached> {
         let sc = prep.sc;
         let blob_bytes = prep.data.len();
         // Replay the sends: each `blob_shipped` carries the clock stamp
@@ -363,15 +372,17 @@ impl SwappingManager {
             .get_mut(&sc)
             .ok_or(SwapError::UnknownSwapCluster { swap_cluster: sc })?
             .epoch += 1;
-        let surgery = self.detach_graph(p, c, shard, sc, device, &prep.key);
-        if let Err(e) = surgery {
-            if let Some((_, placement)) = shard.placements.remove(sc) {
-                for holder in placement.holders {
-                    shard.orphaned_blobs.push((holder, prep.key.clone()));
+        let member_bytes = match self.detach_graph(p, c, shard, sc, device, &prep.key) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                if let Some((_, placement)) = shard.placements.remove(sc) {
+                    for holder in placement.holders {
+                        shard.orphaned_blobs.push((holder, prep.key.clone()));
+                    }
                 }
+                return Err(e);
             }
-            return Err(e);
-        }
+        };
 
         self.recorder
             .detach_end(sc, prep.epoch, blob_bytes as u64, copies as u32);
@@ -379,12 +390,16 @@ impl SwappingManager {
             swap_cluster: sc as i64,
             bytes: blob_bytes as i64,
         });
-        Ok(blob_bytes)
+        Ok(Detached {
+            shipped: blob_bytes,
+            member_bytes,
+        })
     }
 
     /// The graph surgery of swap-out: build the replacement-object, patch
     /// the inbound proxies, detach the members. Caller holds coordinator
-    /// (proxy tables) and the owning shard (registry entry).
+    /// (proxy tables) and the owning shard (registry entry). Returns the
+    /// heap bytes of the detached members.
     fn detach_graph(
         &self,
         p: &mut Process,
@@ -393,7 +408,7 @@ impl SwappingManager {
         sc: u32,
         device: DeviceId,
         key: &str,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         // Collect the cluster's live outbound proxies for the replacement.
         let outbound: Vec<ObjRef> = {
             let weaks = c.outbound.get(&sc).cloned().unwrap_or_default();
@@ -445,22 +460,22 @@ impl SwappingManager {
         // Detach: forget the replicas so the graph no longer reaches them
         // and future replication wires new references through the
         // replacement-object.
-        let member_oids: Vec<(obiwan_heap::Oid, ObjRef)> = shard.clusters[&sc].members.clone();
-        for (oid, _) in &member_oids {
-            p.forget_replica(*oid);
-            p.note_swapped(*oid, replacement);
-        }
-
         let entry = shard
             .clusters
             .get_mut(&sc)
             .ok_or(SwapError::UnknownSwapCluster { swap_cluster: sc })?;
+        let mut member_bytes = 0;
+        for &(oid, r) in &entry.members {
+            member_bytes += p.heap().get(r).map_or(0, |o| o.size());
+            p.forget_replica(oid);
+            p.note_swapped(oid, replacement);
+        }
         entry.state = SwapClusterState::SwappedOut {
             device,
             key: key.to_string(),
             replacement,
         };
-        Ok(())
+        Ok(member_bytes)
     }
 
     /// Pick a victim by policy and swap it out. Returns the victim id, or
@@ -481,5 +496,44 @@ impl SwappingManager {
             }
         }
         Ok(None)
+    }
+
+    /// Evict victims behind one collection — the out-of-memory recovery
+    /// batch. Picks a victim by policy, detaches it without collecting and
+    /// counts its members' bytes as pending release; stops once
+    /// `bytes_used − pending ≤ floor` after at least one victim, or when
+    /// nothing is evictable. The caller's next collection frees the whole
+    /// batch, whatever [`crate::SwapConfig::collect_after_swap_out`] says.
+    /// Returns how many victims were detached.
+    ///
+    /// A detach that runs out of memory while earlier victims are still
+    /// uncollected collects them and carries on.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SwappingManager::swap_out`] failures other than
+    /// [`SwapError::NothingToSwap`] (the empty victim is retired and
+    /// skipped).
+    pub fn swap_out_victims_to(&self, p: &mut Process, floor: usize) -> Result<usize> {
+        let mut evicted = 0;
+        let mut pending = 0;
+        while evicted == 0 || p.heap().bytes_used().saturating_sub(pending) > floor {
+            let Some(sc) = self.pick_victim() else {
+                break;
+            };
+            match self.detach(p, sc) {
+                Ok(detached) => {
+                    evicted += 1;
+                    pending += detached.member_bytes;
+                }
+                Err(SwapError::NothingToSwap { .. }) => {}
+                Err(e) if e.is_out_of_memory() && pending > 0 => {
+                    p.collect();
+                    pending = 0;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(evicted)
     }
 }

@@ -45,9 +45,13 @@ impl SwappingManager {
                 ObjectKind::Replacement => {
                     let sc = fin.swap_cluster;
                     let mut shard = lock_shard(&self.shards, self.shard_of(sc))?;
+                    // Only the cluster's current stand-in counts: a
+                    // half-built replacement from a detach that failed
+                    // is garbage too, and may die after a retry has
+                    // swapped the cluster out.
                     if !matches!(
                         shard.clusters.get(&sc).map(|e| &e.state),
-                        Some(SwapClusterState::SwappedOut { .. })
+                        Some(SwapClusterState::SwappedOut { replacement, .. }) if *replacement == fin.obj
                     ) {
                         continue;
                     }

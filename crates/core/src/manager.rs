@@ -305,19 +305,21 @@ impl SwappingManager {
 
     /// Choose a victim among loaded swap-clusters per the configured
     /// policy; `None` when nothing is evictable.
+    ///
+    /// Each shard nominates its own best-ranked loaded cluster under its
+    /// own lock, and the best nominee wins: policy ranks are unique (see
+    /// [`VictimPolicy::choose`]), so this is the pick a scan of the whole
+    /// registry would make, without copying any entry.
     pub fn pick_victim(&self) -> Option<u32> {
         let policy = self.config().victim_policy;
-        let mut entries: Vec<(u32, SwapClusterEntry)> = Vec::new();
-        for idx in 0..self.shards.len() {
-            let Ok(shard) = lock_shard(&self.shards, idx) else {
-                continue;
-            };
-            entries.extend(shard.clusters.iter().map(|(id, e)| (*id, e.clone())));
-        }
-        // Policies see one ascending registry regardless of sharding.
-        entries.sort_unstable_by_key(|(id, _)| *id);
         let cursor = self.victim_cursor.load(Ordering::Relaxed);
-        let pick = policy.choose(entries.iter().map(|(id, e)| (*id, e)), cursor);
+        let pick = (0..self.shards.len())
+            .filter_map(|idx| {
+                let shard = lock_shard(&self.shards, idx).ok()?;
+                policy.nominate(shard.clusters.iter().map(|(id, e)| (*id, e)), cursor)
+            })
+            .min()
+            .map(|rank| rank.1);
         if let Some(id) = pick {
             self.victim_cursor.store(id, Ordering::Relaxed);
         }
@@ -1105,4 +1107,92 @@ impl Interceptor for InterceptorShim {
 /// used by middleware convenience wrappers.
 pub(crate) fn repl_to_swap(e: ReplError) -> SwapError {
     SwapError::Repl(e)
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may panic on impossible states
+mod tests {
+    use super::*;
+    use obiwan_net::SimNet;
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A manager whose registry holds `n` random entries (small value
+    /// ranges, so ties are common; about one in four not loaded), plus the
+    /// same registry as one ascending list.
+    fn random_registry(
+        shards: usize,
+        policy: VictimPolicy,
+        n: u64,
+        rng: &mut u64,
+    ) -> (SwappingManager, Vec<(u32, SwapClusterEntry)>) {
+        let mut net = SimNet::new();
+        let home = net.add_device("pda", DeviceKind::Pda, 0);
+        let config = SwapConfig {
+            shard_count: shards,
+            victim_policy: policy,
+            ..SwapConfig::default()
+        };
+        let m = SwappingManager::new(config, Arc::new(Mutex::new(NetFabric::sim(net))), home);
+        let mut registry = Vec::new();
+        for _ in 0..n {
+            let id = (splitmix(rng) % 200) as u32 + 1;
+            let mut e = SwapClusterEntry::new();
+            e.bytes = (splitmix(rng) % 4) as usize * 100;
+            e.crossings = splitmix(rng) % 5;
+            e.last_crossing = splitmix(rng) % 5;
+            if splitmix(rng).is_multiple_of(4) {
+                e.state = SwapClusterState::Dropped;
+            }
+            m.shards[m.shard_of(id)]
+                .lock()
+                .unwrap()
+                .clusters
+                .insert(id, e.clone());
+            registry.retain(|(other, _)| *other != id);
+            registry.push((id, e));
+        }
+        registry.sort_unstable_by_key(|(id, _)| *id);
+        (m, registry)
+    }
+
+    #[test]
+    fn shard_nominees_pick_the_full_registry_victim() {
+        let policies = [
+            VictimPolicy::LeastRecentlyUsed,
+            VictimPolicy::LeastFrequentlyUsed,
+            VictimPolicy::LargestFirst,
+            VictimPolicy::RoundRobin,
+        ];
+        let mut rng = 7;
+        for policy in policies {
+            for shards in [1, 8, 16] {
+                for round in 0..40u32 {
+                    let n = splitmix(&mut rng) % 40;
+                    let (m, registry) = random_registry(shards, policy, n, &mut rng);
+                    // Every fourth round parks the cursor past every id,
+                    // so round-robin must wrap to the smallest.
+                    let cursor = if round.is_multiple_of(4) {
+                        u32::MAX
+                    } else {
+                        (splitmix(&mut rng) % 210) as u32
+                    };
+                    m.victim_cursor.store(cursor, Ordering::Relaxed);
+                    let want = policy.choose(registry.iter().map(|(id, e)| (*id, e)), cursor);
+                    assert_eq!(
+                        m.pick_victim(),
+                        want,
+                        "{policy} over {shards} shard(s), cursor {cursor}, {} entries",
+                        registry.len()
+                    );
+                }
+            }
+        }
+    }
 }

@@ -455,7 +455,8 @@ impl Middleware {
     }
 
     /// Invoke with the paper's recovery loop: on out-of-memory, collect,
-    /// swap out victims until occupancy falls to the low watermark, and
+    /// swap out victims until occupancy falls to the low watermark
+    /// ([`SwappingManager::swap_out_victims_to`]), collect once more, and
     /// retry (up to `retries` times).
     ///
     /// Note that a single operation whose working set exceeds device memory
@@ -514,19 +515,11 @@ impl Middleware {
                     let floor = capacity / 100 * self.context.watermarks().low_pct as usize;
                     // Evict at least one victim (guaranteeing forward
                     // progress even when the collection alone dropped below
-                    // the watermark), then keep evicting down to the floor.
-                    let mut evicted_any = false;
-                    loop {
-                        if evicted_any && self.process.heap().bytes_used() <= floor {
-                            break;
-                        }
-                        match self.swap_out_victim()? {
-                            Some(_) => evicted_any = true,
-                            None => break,
-                        }
-                    }
+                    // the watermark), then keep evicting down to the floor;
+                    // the collection below frees the whole batch.
+                    let evicted = self.manager.swap_out_victims_to(&mut self.process, floor)?;
                     self.run_gc()?;
-                    let progress = evicted_any || self.process.heap().bytes_used() < used_before;
+                    let progress = evicted > 0 || self.process.heap().bytes_used() < used_before;
                     if !progress {
                         return Err(e);
                     }

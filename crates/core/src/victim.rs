@@ -1,6 +1,6 @@
 //! Victim selection: which swap-cluster to evict under pressure.
 
-use crate::swap_cluster::{SwapClusterEntry, SwapClusterState};
+use crate::swap_cluster::SwapClusterEntry;
 
 /// Policy deciding which loaded swap-cluster is detached when memory must
 /// be freed. The manager's boundary-crossing statistics ("basic data w.r.t.
@@ -21,43 +21,46 @@ pub enum VictimPolicy {
 }
 
 impl VictimPolicy {
-    /// Pick a victim among `candidates` (id, entry) pairs; all candidates
-    /// must be in the `Loaded` state. `cursor` is the round-robin memory
-    /// (last evicted id). Returns the chosen id.
+    /// Pick a victim among `candidates` (id, entry) pairs; candidates not
+    /// in the `Loaded` state are skipped. `cursor` is the round-robin
+    /// memory (last evicted id). Returns the chosen id.
+    ///
+    /// Every policy takes the minimum of a per-entry rank that ends in the
+    /// id, so ranks are unique and the winner of a registry is the winner
+    /// among the winners of any partition of it — the sharded manager lets
+    /// each shard nominate under its own lock.
     pub fn choose<'a>(
         self,
         candidates: impl Iterator<Item = (u32, &'a SwapClusterEntry)>,
         cursor: u32,
     ) -> Option<u32> {
-        let loaded: Vec<(u32, &SwapClusterEntry)> = candidates
-            .filter(|(_, e)| matches!(e.state, SwapClusterState::Loaded))
-            .collect();
-        if loaded.is_empty() {
-            return None;
-        }
-        match self {
-            VictimPolicy::LeastRecentlyUsed => loaded
-                .iter()
-                .min_by_key(|(id, e)| (e.last_crossing, *id))
-                .map(|(id, _)| *id),
-            VictimPolicy::LeastFrequentlyUsed => loaded
-                .iter()
-                .min_by_key(|(id, e)| (e.crossings, *id))
-                .map(|(id, _)| *id),
-            VictimPolicy::LargestFirst => loaded
-                .iter()
-                .max_by_key(|(id, e)| (e.bytes, u32::MAX - *id))
-                .map(|(id, _)| *id),
-            VictimPolicy::RoundRobin => {
-                // The smallest id strictly greater than the cursor, wrapping.
-                let mut ids: Vec<u32> = loaded.iter().map(|(id, _)| *id).collect();
-                ids.sort_unstable();
-                ids.iter()
-                    .find(|&&id| id > cursor)
-                    .or_else(|| ids.first())
-                    .copied()
-            }
-        }
+        self.nominate(candidates, cursor).map(|rank| rank.1)
+    }
+
+    /// The best [`VictimPolicy::rank`] among the loaded `candidates`.
+    pub(crate) fn nominate<'a>(
+        self,
+        candidates: impl Iterator<Item = (u32, &'a SwapClusterEntry)>,
+        cursor: u32,
+    ) -> Option<(u64, u32)> {
+        candidates
+            .filter(|(_, e)| e.is_loaded())
+            .map(|(id, e)| self.rank(id, e, cursor))
+            .min()
+    }
+
+    /// The sort key this policy evicts by, lowest first: LRU by last
+    /// crossing, LFU by crossing count, largest-first by descending bytes,
+    /// round-robin by "above the cursor, then smallest id" — each with the
+    /// id as the final tie-break.
+    pub(crate) fn rank(self, id: u32, e: &SwapClusterEntry, cursor: u32) -> (u64, u32) {
+        let primary = match self {
+            VictimPolicy::LeastRecentlyUsed => e.last_crossing,
+            VictimPolicy::LeastFrequentlyUsed => e.crossings,
+            VictimPolicy::LargestFirst => u64::MAX - e.bytes as u64,
+            VictimPolicy::RoundRobin => u64::from(id <= cursor),
+        };
+        (primary, id)
     }
 
     /// Name used in reports and the policy dialect.
@@ -81,6 +84,7 @@ impl std::fmt::Display for VictimPolicy {
 #[allow(clippy::disallowed_methods)] // tests may panic on impossible states
 mod tests {
     use super::*;
+    use crate::swap_cluster::SwapClusterState;
 
     fn entry(bytes: usize, crossings: u64, last: u64) -> SwapClusterEntry {
         let mut e = SwapClusterEntry::new();
@@ -117,6 +121,17 @@ mod tests {
         let c = candidates();
         let pick = VictimPolicy::LargestFirst.choose(c.iter().map(|(i, e)| (*i, e)), 0);
         assert_eq!(pick, Some(2));
+    }
+
+    #[test]
+    fn largest_breaks_ties_on_smallest_id() {
+        let c = [
+            (7, entry(300, 1, 1)),
+            (5, entry(300, 9, 9)),
+            (6, entry(10, 0, 0)),
+        ];
+        let pick = VictimPolicy::LargestFirst.choose(c.iter().map(|(i, e)| (*i, e)), 0);
+        assert_eq!(pick, Some(5));
     }
 
     #[test]

@@ -312,6 +312,28 @@ fn gc_cooperation_drops_blob_when_replacement_dies() {
 }
 
 #[test]
+fn a_half_built_replacement_dying_does_not_drop_its_swapped_out_cluster() {
+    let (mut mw, root) = list_middleware(30, 10, 1 << 20);
+    warm(&mut mw, root, 30);
+    mw.run_gc().unwrap();
+    // Leave room for the replacement-object's base but not for the slot
+    // that holds cluster 2's outbound proxy: the detach fails halfway.
+    let used = mw.process().heap().bytes_used();
+    mw.process_mut().heap_mut().set_capacity(used + 30);
+    let err = mw.swap_out(2).unwrap_err();
+    assert!(err.is_out_of_memory(), "{err}");
+    // The retry succeeds, and its collection buries the half-built one.
+    mw.process_mut().heap_mut().set_capacity(1 << 20);
+    mw.swap_out(2).unwrap();
+    mw.run_gc().unwrap();
+    assert!(matches!(
+        mw.manager().cluster(2).unwrap().state,
+        SwapClusterState::SwappedOut { .. }
+    ));
+    assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), 30);
+}
+
+#[test]
 fn b1_iteration_creates_proxies_and_b2_assign_reuses_one() {
     let (mut mw, root) = list_middleware(60, 20, 1 << 20);
     warm(&mut mw, root, 60);

@@ -70,8 +70,6 @@ pub struct ObjectHeader {
     /// When true, the object's death is reported via
     /// [`crate::Heap::take_finalized`] after the sweep that frees it.
     pub finalize: bool,
-    /// Mark bit (collector-internal).
-    pub(crate) marked: bool,
 }
 
 impl ObjectHeader {
@@ -84,7 +82,6 @@ impl ObjectHeader {
             swap_cluster: 0,
             pinned: false,
             finalize: false,
-            marked: false,
         }
     }
 }
@@ -292,7 +289,7 @@ mod tests {
         let h = ObjectHeader::new(ObjectKind::SwapProxy);
         assert_eq!(h.kind, ObjectKind::SwapProxy);
         assert_eq!(h.swap_cluster, 0);
-        assert!(!h.pinned && !h.finalize && !h.marked);
+        assert!(!h.pinned && !h.finalize);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use device::{DeviceId, DeviceKind, DeviceProfile};
 pub use error::NetError;
 pub use link::LinkSpec;
 pub use route::Route;
-pub use sim::SimNet;
+pub use sim::{SimNet, TRACE_RETAIN};
 pub use store::{BlobStore, FailurePlan, MemStore};
 pub use trace::{TraceEvent, TraceKind};
 pub use transport::{NetFabric, Transport, TransportKind};

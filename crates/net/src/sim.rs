@@ -8,6 +8,11 @@ use crate::{
 use bytes::Bytes;
 use std::collections::HashMap;
 
+/// How many of the newest trace events a [`SimNet`] is sure to keep. The
+/// trace grows to twice this and then drops its oldest half, so a
+/// long-running world holds a bounded window instead of every transfer.
+pub const TRACE_RETAIN: usize = 4096;
+
 #[derive(Debug)]
 struct DeviceState {
     profile: DeviceProfile,
@@ -338,7 +343,9 @@ impl SimNet {
         (self.bytes_sent, self.bytes_fetched)
     }
 
-    /// The trace so far.
+    /// The newest trace events, oldest first: at least the last
+    /// [`TRACE_RETAIN`] (everything, in a world with fewer) and never more
+    /// than twice that — older events are discarded as the trace grows.
     pub fn trace(&self) -> &[TraceEvent] {
         &self.trace
     }
@@ -376,13 +383,13 @@ impl SimNet {
     }
 
     fn push_trace(&mut self, kind: TraceKind) {
-        self.trace.push(TraceEvent {
-            at: self.clock.now(),
-            kind,
-        });
+        self.push_trace_at(self.clock.now(), kind);
     }
 
     pub(crate) fn push_trace_at(&mut self, at: crate::SimTime, kind: TraceKind) {
+        if self.trace.len() >= 2 * TRACE_RETAIN {
+            self.trace.drain(..TRACE_RETAIN);
+        }
         self.trace.push(TraceEvent { at, kind });
     }
 }
@@ -514,6 +521,29 @@ mod tests {
         let drained = net.take_trace();
         assert_eq!(drained.len(), 5);
         assert!(net.trace().is_empty());
+    }
+
+    #[test]
+    fn trace_keeps_a_bounded_window_of_the_newest_events() {
+        let (mut net, pda, laptop) = world();
+        let transfers = 3 * TRACE_RETAIN + 17;
+        for i in 0..transfers {
+            net.send_blob(pda, laptop, &format!("k{i}"), "abc".into())
+                .unwrap();
+            net.drop_blob(pda, laptop, &format!("k{i}")).unwrap();
+            assert!(net.trace().len() <= 2 * TRACE_RETAIN);
+        }
+        let trace = net.trace();
+        assert!(trace.len() >= TRACE_RETAIN);
+        let last = format!("k{}", transfers - 1);
+        assert!(matches!(
+            &trace[trace.len() - 2].kind,
+            TraceKind::BlobStored { key, .. } if *key == last
+        ));
+        assert!(matches!(
+            &trace[trace.len() - 1].kind,
+            TraceKind::BlobDropped { key, .. } if *key == last
+        ));
     }
 
     #[test]

@@ -385,8 +385,9 @@ impl NetFabric {
         }
     }
 
-    /// The network-level event trace. Live backends are not replayable and
-    /// return an empty slice.
+    /// The network-level event trace: the simulation's newest events (at
+    /// least the last [`crate::TRACE_RETAIN`], see [`SimNet::trace`]).
+    /// Live backends are not replayable and return an empty slice.
     pub fn trace(&self) -> &[TraceEvent] {
         match self {
             NetFabric::Sim(net) => net.trace(),
