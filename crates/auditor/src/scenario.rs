@@ -140,8 +140,7 @@ pub fn replay(cfg: &TraceConfig) -> Result<TraceOutcome, SwapError> {
         .device_memory(cfg.device_memory)
         .wire_format(cfg.wire_format)
         .replication_factor(cfg.replication_factor)
-        .shard_count(cfg.shards)
-        .transport(cfg.transport);
+        .shard_count(cfg.shards);
     // Enough storage devices that one can be away while k = 2 copies
     // still have somewhere to live (and be repaired to).
     let store_count = if cfg.churn || cfg.replication_factor > 1 {

@@ -11,7 +11,7 @@
 //! Object-Swapping's cluster-granularity protocol.
 
 use obiwan_heap::{ObjRef, ObjectKind, Oid, Value};
-use obiwan_net::{DeviceId, SimNet};
+use obiwan_net::{DeviceId, SimNet, Transport};
 use obiwan_replication::Process;
 use obiwan_xml::{Element, Writer};
 use std::collections::HashMap;

@@ -11,7 +11,7 @@ use crate::{BenchError, Result};
 use obiwan_baselines::offload::Offloader;
 use obiwan_core::Middleware;
 use obiwan_heap::Value;
-use obiwan_net::{DeviceKind, LinkSpec, SimNet};
+use obiwan_net::{DeviceKind, LinkSpec, SimNet, Transport};
 use obiwan_replication::{standard_classes, Process, ReplConfig, Server};
 use std::sync::{Arc, Mutex};
 

@@ -7,11 +7,9 @@
 #![allow(clippy::disallowed_methods)] // tests may panic on impossible states
 
 use obiwan_blobd::{Blobd, BlobdHandle, RemoteStore};
-use obiwan_core::{Middleware, StoreSpec, SwapConfig};
+use obiwan_core::{Middleware, StoreSpec};
 use obiwan_heap::Value;
-use obiwan_net::{
-    BlobStore, Bytes, DeviceId, DeviceKind, LinkSpec, NetFabric, Transport, TransportKind,
-};
+use obiwan_net::{BlobStore, Bytes, DeviceId, DeviceKind, LinkSpec, NetFabric, Transport};
 use obiwan_netd::ActorNet;
 use obiwan_replication::{standard_classes, Server};
 use std::io::BufRead;
@@ -50,7 +48,6 @@ fn tcp_world() -> (
     let shared = Arc::new(Mutex::new(NetFabric::backend(Box::new(net))));
     let universe = server.classes().clone();
     let mut mw = Middleware::builder()
-        .swap_config(SwapConfig::default().transport(TransportKind::Tcp))
         .cluster_size(10)
         .device_memory(1 << 20)
         .replication_factor(2)

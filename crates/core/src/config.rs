@@ -2,7 +2,6 @@
 
 use crate::wire::WireFormatKind;
 use crate::VictimPolicy;
-use obiwan_net::TransportKind;
 use obiwan_placement::PlacementKind;
 
 /// Tunables of the Object-Swapping mechanism.
@@ -60,14 +59,6 @@ pub struct SwapConfig {
     /// threads touching different shards never contend. One shard
     /// reproduces the old fully-serialized manager.
     pub shard_count: usize,
-    /// Which transport backend the world's `NetFabric` dispatches over.
-    /// The default [`TransportKind::Sim`] keeps every byte in the
-    /// deterministic simulation (the only backend whose traces are
-    /// byte-replayable); [`TransportKind::Tcp`] declares a live world of
-    /// actor-hosted devices backed by `obiwan-blobd` processes, which
-    /// must be assembled externally and passed to
-    /// `MiddlewareBuilder::build_in_world`.
-    pub transport: TransportKind,
 }
 
 impl Default for SwapConfig {
@@ -83,7 +74,6 @@ impl Default for SwapConfig {
             placement: PlacementKind::default(),
             trace_capacity: obiwan_trace::DEFAULT_CAPACITY,
             shard_count: 8,
-            transport: TransportKind::Sim,
         }
     }
 }
@@ -163,12 +153,6 @@ impl SwapConfig {
         self.shard_count = n;
         self
     }
-
-    /// Select the transport backend the world dispatches over.
-    pub fn transport(mut self, kind: TransportKind) -> Self {
-        self.transport = kind;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -189,8 +173,6 @@ mod tests {
         assert_eq!(c.placement, PlacementKind::FirstFit);
         assert_eq!(c.trace_capacity, obiwan_trace::DEFAULT_CAPACITY);
         assert_eq!(c.shard_count, 8);
-        // The deterministic simulation stays the default transport.
-        assert_eq!(c.transport, TransportKind::Sim);
     }
 
     #[test]

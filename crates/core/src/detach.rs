@@ -61,7 +61,7 @@ struct ShipRecord {
     device: DeviceId,
     /// Airtime the send cost, in µs.
     cost_us: u64,
-    /// [`obiwan_net::SimNet::churn_seq`] right after the send.
+    /// [`obiwan_net::Transport::churn_seq`] right after the send.
     churn: u64,
     /// Virtual clock (µs) right after the send.
     at_us: u64,

@@ -113,7 +113,7 @@ pub struct SwappingManager {
     crossing_clock: AtomicU64,
     /// Round-robin victim cursor.
     victim_cursor: AtomicU32,
-    /// [`obiwan_net::SimNet::churn_seq`] at the last holder-loss scan (`u64::MAX`
+    /// [`obiwan_net::Transport::churn_seq`] at the last holder-loss scan (`u64::MAX`
     /// until the first); an unchanged sequence lets
     /// [`SwappingManager::note_departures`] skip the placement-table
     /// sweep entirely on quiet pumps.

@@ -7,7 +7,7 @@ use crate::manager::{
 };
 use crate::{identity, Result, SwapConfig, SwapError, SwappingManager, VictimPolicy};
 use obiwan_heap::{HeapStats, ObjRef, Oid, Value};
-use obiwan_net::{DeviceId, DeviceKind, LinkSpec, NetFabric, SimNet, SimTime};
+use obiwan_net::{DeviceId, DeviceKind, LinkSpec, NetFabric, SimNet, SimTime, Transport};
 use obiwan_policy::{
     default_swap_policies, Action, ContextManager, PolicyEngine, PolicyEvent, Watermarks,
 };
@@ -180,16 +180,6 @@ impl MiddlewareBuilder {
         self
     }
 
-    /// Which transport the swap fabric runs over (default: the
-    /// deterministic simulation). A live transport refuses
-    /// [`MiddlewareBuilder::build`] / [`MiddlewareBuilder::build_shared`] —
-    /// assemble the world externally and use
-    /// [`MiddlewareBuilder::build_in_world`].
-    pub fn transport(mut self, kind: obiwan_net::TransportKind) -> Self {
-        self.swap_config = self.swap_config.transport(kind);
-        self
-    }
-
     /// Full swap configuration.
     pub fn swap_config(mut self, config: SwapConfig) -> Self {
         self.swap_config = config;
@@ -247,15 +237,14 @@ impl MiddlewareBuilder {
 
     /// Assemble the middleware around an already-shared server — the
     /// multi-device case: several PDAs replicating from the same master
-    /// graph, each with its own room of storage devices.
+    /// graph, each with its own room of storage devices. The room is
+    /// simulated; live worlds (actor runtime + `obiwan-blobd` daemons) are
+    /// assembled externally and handed to
+    /// [`MiddlewareBuilder::build_in_world`].
     ///
     /// # Panics
     ///
-    /// As [`MiddlewareBuilder::build`]. Also panics if the swap config
-    /// selects a live transport: this constructor builds a simulated room,
-    /// so live worlds (actor runtime + `obiwan-blobd` daemons) must be
-    /// assembled externally and handed to
-    /// [`MiddlewareBuilder::build_in_world`].
+    /// As [`MiddlewareBuilder::build`].
     // Construction-time misconfiguration panics are documented above
     // (`# Panics`) and tested; they never occur on a swap path.
     #[allow(clippy::disallowed_methods)]
@@ -264,11 +253,6 @@ impl MiddlewareBuilder {
         universe: obiwan_replication::Universe,
         server: obiwan_replication::SharedServer,
     ) -> Middleware {
-        assert!(
-            self.swap_config.transport == obiwan_net::TransportKind::Sim,
-            "build_shared constructs a simulated room; live-transport worlds \
-             are built externally and passed to build_in_world"
-        );
         let mut net = SimNet::new();
         let home = net.add_device("pda", DeviceKind::Pda, 0);
         for spec in &self.stores {

@@ -33,7 +33,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 struct RecorderInner {
     stats: SwapStats,
     sink: TraceSink,
-    /// Cached [`obiwan_net::SimNet::churn_seq`] from the last clock sync.
+    /// Cached [`obiwan_net::Transport::churn_seq`] from the last clock sync.
     churn: u64,
     /// Cached virtual clock (µs) from the last sync.
     at_us: u64,

@@ -1,6 +1,6 @@
 //! Pluggable wire formats: captured [`Blob`] IR ⇆ bytes on the wire.
 //!
-//! The capture layer ([`codec`](crate::codec)) produces a validated
+//! The capture layer ([`codec`]) produces a validated
 //! [`Blob`]; a [`WireFormat`] turns it into the bytes a dumb storage
 //! device holds. Three formats ship:
 //!

@@ -27,7 +27,7 @@
 //! | S15 | `unchecked-quota-arithmetic` | raw `+`/`-` on quota/used/airtime counters |
 //!
 //! S1 and S9–S12 are *flow-sensitive*: they run on a per-function control
-//! flow graph ([`cfg`]) with a worklist dataflow framework ([`dataflow`])
+//! flow graph ([`cfg`](mod@cfg)) with a worklist dataflow framework ([`dataflow`])
 //! and a held-lock-set analysis ([`locks`]) on top, so "held across" and
 //! "on some path" mean actual paths, not lexical containment.
 //!

@@ -2,22 +2,21 @@
 
 use std::fmt;
 
-/// Identifier of a device inside a [`crate::SimNet`].
+/// Identifier of a device inside a world's [`crate::Room`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub(crate) u32);
 
 impl DeviceId {
-    /// The raw numeric id (stable within one `SimNet`).
+    /// The raw numeric id (stable within one world).
     pub fn index(self) -> u32 {
         self.0
     }
 
     /// Construct an id from a raw dense index.
     ///
-    /// The simulation allocates its own ids in [`crate::SimNet::add_device`];
-    /// this constructor exists for transport backends *outside* this crate
-    /// (the actor runtime, remote worlds) that host their own device tables
-    /// and must mint ids consistent with their dense ordering.
+    /// Worlds allocate their own ids as devices join a [`crate::Room`];
+    /// this constructor is for code *outside* this crate that names a
+    /// device by its index (a daemon naming its own store, tests).
     pub fn from_index(raw: u32) -> DeviceId {
         DeviceId(raw)
     }

@@ -10,23 +10,25 @@
 //! * [`LinkSpec`]s with bandwidth + latency (including the paper's
 //!   [`LinkSpec::bluetooth`] preset) used to *cost* every transfer;
 //! * per-device blob stores implementing the three-verb protocol
-//!   (store / fetch / drop) with quota enforcement and optional injected
-//!   failures ([`FailurePlan`]);
-//! * churn: devices can [`SimNet::depart`] (taking their blobs with them)
-//!   and re-[`SimNet::arrive`], which is how the tests exercise the
-//!   "storage device walked away" scenario the paper's vision implies;
+//!   (store / fetch / drop) with quota enforcement;
+//! * one control plane, the [`Room`], that the simulation and the live
+//!   actor runtime share: device and link tables, routing, error
+//!   precedence and injected failures ([`FailurePlan`]);
+//! * churn: devices can [`Transport::depart`] (taking their blobs with
+//!   them) and re-[`Transport::arrive`], which is how the tests exercise
+//!   the "storage device walked away" scenario the paper's vision implies;
 //! * a [`TraceEvent`] log for tests and examples.
 //!
 //! # Examples
 //!
 //! ```
-//! use obiwan_net::{DeviceKind, LinkSpec, SimNet};
+//! use obiwan_net::{DeviceKind, LinkSpec, SimNet, Transport};
 //!
 //! # fn main() -> Result<(), obiwan_net::NetError> {
 //! let mut net = SimNet::new();
 //! let pda = net.add_device("my-pda", DeviceKind::Pda, 0);
 //! let laptop = net.add_device("desk-laptop", DeviceKind::Laptop, 1 << 20);
-//! net.connect(pda, laptop, LinkSpec::bluetooth());
+//! net.connect(pda, laptop, LinkSpec::bluetooth())?;
 //!
 //! let cost = net.send_blob(pda, laptop, "sc-2", "<swap-cluster/>".into())?;
 //! assert!(cost.as_micros() > 0);
@@ -44,6 +46,7 @@ pub mod clock;
 mod device;
 mod error;
 mod link;
+mod room;
 mod route;
 mod sim;
 mod store;
@@ -55,6 +58,7 @@ pub use clock::{Clock, RealClock, SimDuration, SimTime};
 pub use device::{DeviceId, DeviceKind, DeviceProfile};
 pub use error::NetError;
 pub use link::LinkSpec;
+pub use room::Room;
 pub use route::Route;
 pub use sim::{SimNet, TRACE_RETAIN};
 pub use store::{BlobStore, FailurePlan, MemStore};

@@ -2,10 +2,11 @@
 //! "available to any user either to store data **or to relay
 //! communications**". This module adds relay paths on top of the direct
 //! links: a blob can reach a storage device several radio hops away, at
-//! the cost of every hop's airtime.
+//! the cost of every hop's airtime. Routes are found on the shared
+//! [`Room`], so every fabric relays along the same paths.
 
-use crate::{DeviceId, NetError, Result, SimDuration, SimNet, TraceKind};
-use bytes::Bytes;
+use crate::{DeviceId, LinkSpec, NetError, Result, Room};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A relay path: the intermediate devices between source and destination
 /// (exclusive of both), plus the total transfer cost model.
@@ -26,12 +27,10 @@ impl Route {
     }
 }
 
-impl SimNet {
-    /// Find the fewest-hops route from `from` to `to` over present devices
-    /// (breadth-first over the link graph; ties broken by device id for
-    /// determinism).
-    ///
-    /// Returns `None` when `to` is unreachable (or either side is absent).
+impl<H> Room<H> {
+    /// Fewest-hops route over present devices: breadth-first, neighbours
+    /// in ascending id order, so a tie goes to the path discovered first.
+    /// `None` when `to` is unreachable or either end is absent.
     pub fn route(&self, from: DeviceId, to: DeviceId) -> Option<Route> {
         if !self.is_present(from) || !self.is_present(to) {
             return None;
@@ -43,9 +42,8 @@ impl SimNet {
                 relays: Vec::new(),
             });
         }
-        let mut predecessor: std::collections::HashMap<DeviceId, DeviceId> =
-            std::collections::HashMap::new();
-        let mut queue = std::collections::VecDeque::from([from]);
+        let mut predecessor: HashMap<DeviceId, DeviceId> = HashMap::new();
+        let mut queue = VecDeque::from([from]);
         'search: while let Some(cur) = queue.pop_front() {
             for next in self.nearby(cur) {
                 if next == from || predecessor.contains_key(&next) {
@@ -73,12 +71,12 @@ impl SimNet {
         })
     }
 
-    /// Devices reachable from `of` over any number of hops, with their hop
-    /// counts, in (hops, id) order. The single-hop prefix equals
-    /// [`SimNet::nearby`].
+    /// Devices reachable from `of` with their hop counts, ring by ring,
+    /// each ring in discovery order. The first ring equals
+    /// [`Room::nearby`].
     pub fn reachable(&self, of: DeviceId) -> Vec<(DeviceId, usize)> {
         let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::from([of]);
+        let mut seen = HashSet::from([of]);
         let mut frontier = vec![of];
         let mut hops = 0;
         while !frontier.is_empty() {
@@ -97,145 +95,41 @@ impl SimNet {
         out
     }
 
-    /// Send a blob along a relay route: every hop pays its link's transfer
-    /// time, and only the destination stores the bytes (relays forward,
-    /// they do not keep copies — they "relay communications").
+    /// The fewest-hops route from `from` to `to` ([`Room::route`]) and its
+    /// hops in order, each as `(sender, receiver, link)`. The last hop's
+    /// sender is the device that talks to `to`.
     ///
     /// # Errors
     ///
-    /// [`NetError::NotConnected`] if no route exists, plus the
-    /// destination's store errors. Airtime for traversed hops is spent even
-    /// when a later hop or the final store fails.
-    pub fn send_blob_routed(
-        &mut self,
+    /// [`NetError::NotConnected`] when there is no route, or no link on
+    /// one of its hops (a device routed to itself needs a link to itself).
+    #[allow(clippy::type_complexity)]
+    pub fn route_hops(
+        &self,
         from: DeviceId,
         to: DeviceId,
-        key: &str,
-        data: Bytes,
-    ) -> Result<(Route, SimDuration)> {
+    ) -> Result<(Route, Vec<(DeviceId, DeviceId, LinkSpec)>)> {
         let route = self
             .route(from, to)
             .ok_or(NetError::NotConnected { from, to })?;
-        if route.relays.is_empty() {
-            let cost = self.send_blob(from, to, key, data)?;
-            return Ok((route, cost));
-        }
-        let mut total = SimDuration::ZERO;
-        let mut cur = from;
-        for &relay in &route.relays {
-            let link = self.link(cur, relay).ok_or(NetError::NotConnected {
+        let mut hops = Vec::with_capacity(route.hops());
+        let mut cur = route.from;
+        for &next in route.relays.iter().chain([&route.to]) {
+            let link = self.link(cur, next).ok_or(NetError::NotConnected {
                 from: cur,
-                to: relay,
+                to: next,
             })?;
-            let cost = link.transfer_time(data.len());
-            self.advance(cost);
-            total += cost;
-            self.push_route_trace(cur, relay, key, data.len(), cost);
-            cur = relay;
+            hops.push((cur, next, link));
+            cur = next;
         }
-        let cost = self.send_blob(cur, to, key, data)?;
-        total += cost;
-        Ok((route, total))
-    }
-
-    /// Fetch a blob back along a relay route. Symmetric cost model.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimNet::send_blob_routed`].
-    pub fn fetch_blob_routed(
-        &mut self,
-        from: DeviceId,
-        to: DeviceId,
-        key: &str,
-    ) -> Result<(Route, Bytes)> {
-        let route = self
-            .route(from, to)
-            .ok_or(NetError::NotConnected { from, to })?;
-        if route.relays.is_empty() {
-            let data = self.fetch_blob(from, to, key)?;
-            return Ok((route, data));
-        }
-        // The last relay talks to the storing device (non-empty: the
-        // direct case returned above).
-        let last_relay = match route.relays.last() {
-            Some(&relay) => relay,
-            None => return Err(NetError::NotConnected { from, to }),
-        };
-        let data = self.fetch_blob(last_relay, to, key)?;
-        // Then the bytes travel back across the relays to `from`.
-        let mut cur = last_relay;
-        for &relay in route.relays.iter().rev().skip(1) {
-            let link = self.link(cur, relay).ok_or(NetError::NotConnected {
-                from: cur,
-                to: relay,
-            })?;
-            let cost = link.transfer_time(data.len());
-            self.advance(cost);
-            self.push_route_trace(cur, relay, key, data.len(), cost);
-            cur = relay;
-        }
-        let link = self.link(cur, from).ok_or(NetError::NotConnected {
-            from: cur,
-            to: from,
-        })?;
-        let cost = link.transfer_time(data.len());
-        self.advance(cost);
-        self.push_route_trace(cur, from, key, data.len(), cost);
-        Ok((route, data))
-    }
-
-    /// Instruct a (possibly multi-hop) storing device to drop a blob. The
-    /// control message pays one link latency per hop.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::NotConnected`] if no route exists, plus store errors.
-    pub fn drop_blob_routed(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<()> {
-        let route = self
-            .route(from, to)
-            .ok_or(NetError::NotConnected { from, to })?;
-        if route.relays.is_empty() {
-            return self.drop_blob(from, to, key);
-        }
-        let mut cur = from;
-        for &relay in &route.relays {
-            let link = self.link(cur, relay).ok_or(NetError::NotConnected {
-                from: cur,
-                to: relay,
-            })?;
-            self.advance(link.latency);
-            cur = relay;
-        }
-        self.drop_blob(cur, to, key)
-    }
-
-    fn push_route_trace(
-        &mut self,
-        from: DeviceId,
-        to: DeviceId,
-        key: &str,
-        bytes: usize,
-        airtime: SimDuration,
-    ) {
-        let at = self.now();
-        self.push_trace_at(
-            at,
-            TraceKind::BlobRelayed {
-                from,
-                to,
-                key: key.to_string(),
-                bytes,
-                airtime,
-            },
-        );
+        Ok((route, hops))
     }
 }
 
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)] // tests may panic on impossible states
 mod tests {
-    use crate::{DeviceKind, LinkSpec, SimNet};
+    use crate::{DeviceKind, LinkSpec, SimNet, Transport};
 
     /// pda — m1 — m2 — desktop, plus a direct pda—laptop link.
     fn chain_world() -> (SimNet, Vec<crate::DeviceId>) {

@@ -1,57 +1,37 @@
-//! The simulated world: devices, links, discovery, churn, blob transfers.
+//! The simulated world: a [`Room`] of in-memory blob stores under a
+//! virtual clock, with a bounded event trace.
 
 use crate::store::BlobStore;
 use crate::{
     Clock, DeviceId, DeviceKind, DeviceProfile, FailurePlan, LinkSpec, MemStore, NetError, Result,
-    SimDuration, SimTime, TraceEvent, TraceKind,
+    Room, Route, SimDuration, SimTime, TraceEvent, TraceKind, Transport,
 };
 use bytes::Bytes;
-use std::collections::HashMap;
 
 /// How many of the newest trace events a [`SimNet`] is sure to keep. The
 /// trace grows to twice this and then drops its oldest half, so a
 /// long-running world holds a bounded window instead of every transfer.
 pub const TRACE_RETAIN: usize = 4096;
 
-#[derive(Debug)]
-struct DeviceState {
-    profile: DeviceProfile,
-    store: MemStore,
-    present: bool,
-}
-
 /// The deterministic simulated wireless world.
 ///
 /// All transfers advance the virtual [`Clock`] by the link's cost and append
-/// a [`TraceEvent`]; nothing consults the wall clock or an RNG.
+/// a [`TraceEvent`]; nothing consults the wall clock or an RNG. Its verbs
+/// are the [`Transport`] trait's; on a transfer error the clock still
+/// advances — airtime was spent.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug, Default)]
 pub struct SimNet {
+    room: Room<MemStore>,
     clock: Clock,
-    devices: Vec<DeviceState>,
-    links: HashMap<(DeviceId, DeviceId), LinkSpec>,
     trace: Vec<TraceEvent>,
-    bytes_sent: u64,
-    bytes_fetched: u64,
-    churn_seq: u64,
 }
 
 impl SimNet {
     /// An empty world at the epoch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    /// Advance the clock without any transfer (application compute time in
-    /// virtual-time experiments).
-    pub fn advance(&mut self, d: SimDuration) -> SimTime {
-        self.clock.advance(d)
     }
 
     /// Add a device offering `storage_quota` bytes of blob storage.
@@ -61,286 +41,13 @@ impl SimNet {
         kind: DeviceKind,
         storage_quota: usize,
     ) -> DeviceId {
-        let id = DeviceId(self.devices.len() as u32);
-        self.devices.push(DeviceState {
-            profile: DeviceProfile::new(name, kind, storage_quota),
-            store: MemStore::new(id, storage_quota),
-            present: true,
-        });
+        let id = self
+            .room
+            .add(DeviceProfile::new(name, kind, storage_quota), |id| {
+                MemStore::new(id, storage_quota)
+            });
         self.push_trace(TraceKind::DeviceAdded { device: id });
         id
-    }
-
-    /// A device's profile.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownDevice`].
-    pub fn profile(&self, device: DeviceId) -> Result<&DeviceProfile> {
-        self.state(device).map(|s| &s.profile)
-    }
-
-    /// Install a fault-injection plan on a device's store.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownDevice`].
-    pub fn set_failure_plan(&mut self, device: DeviceId, plan: FailurePlan) -> Result<()> {
-        self.state_mut(device)?.store.set_failure_plan(plan);
-        Ok(())
-    }
-
-    /// Create a bidirectional link.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownDevice`].
-    pub fn connect(&mut self, a: DeviceId, b: DeviceId, link: LinkSpec) -> Result<()> {
-        self.state(a)?;
-        self.state(b)?;
-        self.links.insert(key(a, b), link);
-        self.churn_seq += 1;
-        self.push_trace(TraceKind::Linked { a, b });
-        Ok(())
-    }
-
-    /// Remove the link between two devices (if any).
-    pub fn disconnect(&mut self, a: DeviceId, b: DeviceId) {
-        if self.links.remove(&key(a, b)).is_some() {
-            self.churn_seq += 1;
-            self.push_trace(TraceKind::Unlinked { a, b });
-        }
-    }
-
-    /// The link between two present devices, if both are reachable.
-    pub fn link(&self, a: DeviceId, b: DeviceId) -> Option<LinkSpec> {
-        let present = |id: DeviceId| {
-            self.devices
-                .get(id.0 as usize)
-                .map(|d| d.present)
-                .unwrap_or(false)
-        };
-        if present(a) && present(b) {
-            self.links.get(&key(a, b)).copied()
-        } else {
-            None
-        }
-    }
-
-    /// Devices currently in range of `of` (linked and present), in id order.
-    ///
-    /// This is the middleware's *discovery* primitive: "swap-out a set of
-    /// objects to nearby devices, if there are any".
-    pub fn nearby(&self, of: DeviceId) -> Vec<DeviceId> {
-        let mut out: Vec<DeviceId> = self
-            .links
-            .keys()
-            .filter_map(|(a, b)| {
-                if *a == of {
-                    Some(*b)
-                } else if *b == of {
-                    Some(*a)
-                } else {
-                    None
-                }
-            })
-            .filter(|id| self.link(of, *id).is_some())
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// Free storage remaining on a device.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownDevice`].
-    pub fn free_storage(&self, device: DeviceId) -> Result<usize> {
-        let s = self.state(device)?;
-        Ok(s.profile.storage_quota.saturating_sub(s.store.used_bytes()))
-    }
-
-    /// Take a device out of radio range. Its blobs stay on it (and come back
-    /// if it returns) but are unreachable meanwhile.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownDevice`].
-    pub fn depart(&mut self, device: DeviceId) -> Result<()> {
-        let blobs = {
-            let s = self.state_mut(device)?;
-            s.present = false;
-            s.store.blob_count()
-        };
-        self.churn_seq += 1;
-        self.push_trace(TraceKind::DeviceDeparted {
-            device,
-            blobs_lost_reach: blobs,
-        });
-        Ok(())
-    }
-
-    /// Bring a departed device back into range.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownDevice`].
-    pub fn arrive(&mut self, device: DeviceId) -> Result<()> {
-        self.state_mut(device)?.present = true;
-        self.churn_seq += 1;
-        self.push_trace(TraceKind::DeviceArrived { device });
-        Ok(())
-    }
-
-    /// Monotonic counter bumped by every topology change — departures,
-    /// arrivals, links made and broken. Churn observers (the swapping
-    /// manager's holder-loss detector) poll it to skip full presence scans
-    /// on quiet pumps: an unchanged sequence means nobody moved.
-    pub fn churn_seq(&self) -> u64 {
-        self.churn_seq
-    }
-
-    /// Whether the device is currently present.
-    pub fn is_present(&self, device: DeviceId) -> bool {
-        self.devices
-            .get(device.0 as usize)
-            .map(|d| d.present)
-            .unwrap_or(false)
-    }
-
-    /// Send `data` from `from` to be stored on `to` under `key`, advancing
-    /// the clock by the link cost. Returns the transfer duration.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::NotConnected`] / [`NetError::Departed`] for reachability,
-    /// plus anything the receiving store raises (quota, duplicates, injected
-    /// failures). On error the clock still advances — airtime was spent.
-    pub fn send_blob(
-        &mut self,
-        from: DeviceId,
-        to: DeviceId,
-        key: &str,
-        data: Bytes,
-    ) -> Result<SimDuration> {
-        let link = self.require_link(from, to)?;
-        let bytes = data.len();
-        let cost = link.transfer_time(bytes);
-        self.clock.advance(cost);
-        self.bytes_sent = self.bytes_sent.saturating_add(bytes as u64);
-        self.state_mut(to)?.store.store(key, data)?;
-        self.push_trace(TraceKind::BlobStored {
-            from,
-            to,
-            key: key.to_string(),
-            bytes,
-            airtime: cost,
-        });
-        Ok(cost)
-    }
-
-    /// Fetch the blob stored under `key` on `to`, advancing the clock by the
-    /// return-transfer cost.
-    ///
-    /// # Errors
-    ///
-    /// Reachability and store errors as for [`SimNet::send_blob`].
-    pub fn fetch_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<Bytes> {
-        let link = self.require_link(from, to)?;
-        let data = self.state_mut(to)?.store.fetch(key)?;
-        let bytes = data.len();
-        let cost = link.transfer_time(bytes);
-        self.clock.advance(cost);
-        self.bytes_fetched = self.bytes_fetched.saturating_add(bytes as u64);
-        self.push_trace(TraceKind::BlobFetched {
-            from,
-            to,
-            key: key.to_string(),
-            bytes,
-            airtime: cost,
-        });
-        Ok(data)
-    }
-
-    /// Instruct `to` to drop the blob under `key`. Costs one latency (a tiny
-    /// control message), not bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Reachability and store errors as for [`SimNet::send_blob`].
-    pub fn drop_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<()> {
-        let link = self.require_link(from, to)?;
-        self.clock.advance(link.latency);
-        self.state_mut(to)?.store.drop_blob(key)?;
-        self.push_trace(TraceKind::BlobDropped {
-            from,
-            to,
-            key: key.to_string(),
-            airtime: link.latency,
-        });
-        Ok(())
-    }
-
-    /// Whether `to` currently holds a blob under `key` (control-plane query,
-    /// free of charge).
-    pub fn holds_blob(&self, to: DeviceId, key: &str) -> bool {
-        self.devices
-            .get(to.0 as usize)
-            .map(|d| d.store.contains(key))
-            .unwrap_or(false)
-    }
-
-    /// Ids of every device ever added to the world, departed ones included
-    /// (control-plane query, free of charge; auditors enumerate stores with
-    /// it).
-    pub fn device_ids(&self) -> Vec<DeviceId> {
-        (0..self.devices.len() as u32).map(DeviceId).collect()
-    }
-
-    /// Every *present* device currently storing a blob under `key`, in id
-    /// order (control-plane query, free of charge). The repair sweep uses
-    /// it to re-adopt a copy that walked back into the room instead of
-    /// shipping a redundant one.
-    pub fn holders_of_key(&self, key: &str) -> Vec<DeviceId> {
-        self.devices
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.present && d.store.contains(key))
-            .map(|(i, _)| DeviceId(i as u32))
-            .collect()
-    }
-
-    /// Keys of every blob currently stored on a device (control-plane
-    /// query, free of charge). Empty for unknown devices.
-    pub fn blob_keys(&self, device: DeviceId) -> Vec<String> {
-        self.devices
-            .get(device.0 as usize)
-            .map(|d| d.store.keys().map(str::to_string).collect())
-            .unwrap_or_default()
-    }
-
-    /// The bytes stored under `key` on a device, if any (control-plane
-    /// query, free of charge; the auditor inspects blob headers with it —
-    /// no airtime, no store op counted).
-    pub fn blob_data(&self, device: DeviceId, key: &str) -> Option<Bytes> {
-        self.devices
-            .get(device.0 as usize)
-            .and_then(|d| d.store.peek(key))
-    }
-
-    /// Bytes stored on a device right now.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownDevice`].
-    pub fn stored_bytes(&self, device: DeviceId) -> Result<usize> {
-        Ok(self.state(device)?.store.used_bytes())
-    }
-
-    /// Total payload bytes sent / fetched since the world began.
-    pub fn traffic(&self) -> (u64, u64) {
-        (self.bytes_sent, self.bytes_fetched)
     }
 
     /// The newest trace events, oldest first: at least the last
@@ -355,50 +62,265 @@ impl SimNet {
         std::mem::take(&mut self.trace)
     }
 
-    fn require_link(&self, from: DeviceId, to: DeviceId) -> Result<LinkSpec> {
-        self.state(from)?;
-        self.state(to)?;
-        if !self.is_present(from) {
-            return Err(NetError::Departed { device: from });
-        }
-        if !self.is_present(to) {
-            return Err(NetError::Departed { device: to });
-        }
-        self.links
-            .get(&key(from, to))
-            .copied()
-            .ok_or(NetError::NotConnected { from, to })
-    }
-
-    fn state(&self, device: DeviceId) -> Result<&DeviceState> {
-        self.devices
-            .get(device.0 as usize)
-            .ok_or(NetError::UnknownDevice { device })
-    }
-
-    fn state_mut(&mut self, device: DeviceId) -> Result<&mut DeviceState> {
-        self.devices
-            .get_mut(device.0 as usize)
-            .ok_or(NetError::UnknownDevice { device })
-    }
-
     fn push_trace(&mut self, kind: TraceKind) {
-        self.push_trace_at(self.clock.now(), kind);
-    }
-
-    pub(crate) fn push_trace_at(&mut self, at: crate::SimTime, kind: TraceKind) {
         if self.trace.len() >= 2 * TRACE_RETAIN {
             self.trace.drain(..TRACE_RETAIN);
         }
-        self.trace.push(TraceEvent { at, kind });
+        self.trace.push(TraceEvent {
+            at: self.clock.now(),
+            kind,
+        });
+    }
+
+    fn push_relay_trace(
+        &mut self,
+        from: DeviceId,
+        to: DeviceId,
+        key: &str,
+        bytes: usize,
+        airtime: SimDuration,
+    ) {
+        self.push_trace(TraceKind::BlobRelayed {
+            from,
+            to,
+            key: key.to_string(),
+            bytes,
+            airtime,
+        });
     }
 }
 
-fn key(a: DeviceId, b: DeviceId) -> (DeviceId, DeviceId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
+impl Transport for SimNet {
+    fn now(&self) -> SimTime {
+        self.clock.now()
+    }
+
+    /// Advance the clock without any transfer (application compute time in
+    /// virtual-time experiments).
+    fn advance(&mut self, d: SimDuration) -> SimTime {
+        self.clock.advance(d)
+    }
+
+    fn profile(&self, device: DeviceId) -> Result<&DeviceProfile> {
+        self.room.profile(device)
+    }
+
+    fn set_failure_plan(&mut self, device: DeviceId, plan: FailurePlan) -> Result<()> {
+        self.room.set_failure_plan(device, plan)
+    }
+
+    fn connect(&mut self, a: DeviceId, b: DeviceId, link: LinkSpec) -> Result<()> {
+        self.room.connect(a, b, link)?;
+        self.push_trace(TraceKind::Linked { a, b });
+        Ok(())
+    }
+
+    fn disconnect(&mut self, a: DeviceId, b: DeviceId) {
+        if self.room.disconnect(a, b) {
+            self.push_trace(TraceKind::Unlinked { a, b });
+        }
+    }
+
+    fn link(&self, a: DeviceId, b: DeviceId) -> Option<LinkSpec> {
+        self.room.link(a, b)
+    }
+
+    fn nearby(&self, of: DeviceId) -> Vec<DeviceId> {
+        self.room.nearby(of)
+    }
+
+    fn reachable(&self, of: DeviceId) -> Vec<(DeviceId, usize)> {
+        self.room.reachable(of)
+    }
+
+    fn route(&self, from: DeviceId, to: DeviceId) -> Option<Route> {
+        self.room.route(from, to)
+    }
+
+    fn free_storage(&self, device: DeviceId) -> Result<usize> {
+        let quota = self.room.profile(device)?.storage_quota;
+        Ok(quota.saturating_sub(self.room.handle(device)?.used_bytes()))
+    }
+
+    /// Take a device out of radio range. Its blobs stay on it (and come back
+    /// if it returns) but are unreachable meanwhile.
+    fn depart(&mut self, device: DeviceId) -> Result<()> {
+        self.room.depart(device)?;
+        let blobs = self.room.handle(device)?.blob_count();
+        self.push_trace(TraceKind::DeviceDeparted {
+            device,
+            blobs_lost_reach: blobs,
+        });
+        Ok(())
+    }
+
+    fn arrive(&mut self, device: DeviceId) -> Result<()> {
+        self.room.arrive(device)?;
+        self.push_trace(TraceKind::DeviceArrived { device });
+        Ok(())
+    }
+
+    fn churn_seq(&self) -> u64 {
+        self.room.churn_seq()
+    }
+
+    fn is_present(&self, device: DeviceId) -> bool {
+        self.room.is_present(device)
+    }
+
+    /// Store `data` on `to`, advancing the clock by the link cost.
+    fn send_blob(
+        &mut self,
+        from: DeviceId,
+        to: DeviceId,
+        key: &str,
+        data: Bytes,
+    ) -> Result<SimDuration> {
+        let link = self.room.require_link(from, to)?;
+        let bytes = data.len();
+        let cost = link.transfer_time(bytes);
+        self.clock.advance(cost);
+        self.room.charge_sent(bytes);
+        self.room.check_plan(to, "store")?;
+        self.room.handle_mut(to)?.store(key, data)?;
+        self.push_trace(TraceKind::BlobStored {
+            from,
+            to,
+            key: key.to_string(),
+            bytes,
+            airtime: cost,
+        });
+        Ok(cost)
+    }
+
+    /// Fetch from `to`, advancing the clock by the return-transfer cost.
+    fn fetch_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<Bytes> {
+        let link = self.room.require_link(from, to)?;
+        self.room.check_plan(to, "fetch")?;
+        let data = self.room.handle_mut(to)?.fetch(key)?;
+        let bytes = data.len();
+        let cost = link.transfer_time(bytes);
+        self.clock.advance(cost);
+        self.room.charge_fetched(bytes);
+        self.push_trace(TraceKind::BlobFetched {
+            from,
+            to,
+            key: key.to_string(),
+            bytes,
+            airtime: cost,
+        });
+        Ok(data)
+    }
+
+    /// Instruct `to` to drop a blob. Costs one latency (a tiny control
+    /// message), not bandwidth.
+    fn drop_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<()> {
+        let link = self.room.require_link(from, to)?;
+        self.clock.advance(link.latency);
+        self.room.check_plan(to, "drop")?;
+        self.room.handle_mut(to)?.drop_blob(key)?;
+        self.push_trace(TraceKind::BlobDropped {
+            from,
+            to,
+            key: key.to_string(),
+            airtime: link.latency,
+        });
+        Ok(())
+    }
+
+    /// Every hop pays its link's transfer time, and only the destination
+    /// stores the bytes (relays forward, they do not keep copies).
+    fn send_blob_routed(
+        &mut self,
+        from: DeviceId,
+        to: DeviceId,
+        key: &str,
+        data: Bytes,
+    ) -> Result<(Route, SimDuration)> {
+        let (route, hops) = self.room.route_hops(from, to)?;
+        let (&(last, _, _), relayed) = hops
+            .split_last()
+            .ok_or(NetError::NotConnected { from, to })?;
+        let mut total = SimDuration::ZERO;
+        for &(a, b, link) in relayed {
+            let cost = link.transfer_time(data.len());
+            self.clock.advance(cost);
+            total += cost;
+            self.push_relay_trace(a, b, key, data.len(), cost);
+        }
+        total += self.send_blob(last, to, key, data)?;
+        Ok((route, total))
+    }
+
+    /// The last relay fetches from the storing device, then the bytes
+    /// travel back across the relays, each hop paying its airtime.
+    fn fetch_blob_routed(
+        &mut self,
+        from: DeviceId,
+        to: DeviceId,
+        key: &str,
+    ) -> Result<(Route, Bytes)> {
+        let (route, hops) = self.room.route_hops(from, to)?;
+        let (&(last, _, _), relayed) = hops
+            .split_last()
+            .ok_or(NetError::NotConnected { from, to })?;
+        let data = self.fetch_blob(last, to, key)?;
+        for &(a, b, link) in relayed.iter().rev() {
+            let cost = link.transfer_time(data.len());
+            self.clock.advance(cost);
+            self.push_relay_trace(b, a, key, data.len(), cost);
+        }
+        Ok((route, data))
+    }
+
+    /// The drop instruction pays one link latency per hop.
+    fn drop_blob_routed(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<()> {
+        let (_, hops) = self.room.route_hops(from, to)?;
+        let (&(last, _, _), relayed) = hops
+            .split_last()
+            .ok_or(NetError::NotConnected { from, to })?;
+        for &(_, _, link) in relayed {
+            self.clock.advance(link.latency);
+        }
+        self.drop_blob(last, to, key)
+    }
+
+    fn holds_blob(&self, to: DeviceId, key: &str) -> bool {
+        self.room.handle(to).is_ok_and(|s| s.contains(key))
+    }
+
+    fn holders_of_key(&self, key: &str) -> Vec<DeviceId> {
+        self.room
+            .present()
+            .filter(|(_, s)| s.contains(key))
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    fn blob_keys(&self, device: DeviceId) -> Vec<String> {
+        let mut keys: Vec<String> = self
+            .room
+            .handle(device)
+            .map(|s| s.keys().map(str::to_string).collect())
+            .unwrap_or_default();
+        keys.sort();
+        keys
+    }
+
+    fn blob_data(&self, device: DeviceId, key: &str) -> Option<Bytes> {
+        self.room.handle(device).ok()?.peek(key)
+    }
+
+    fn stored_bytes(&self, device: DeviceId) -> Result<usize> {
+        Ok(self.room.handle(device)?.used_bytes())
+    }
+
+    fn device_ids(&self) -> Vec<DeviceId> {
+        self.room.device_ids()
+    }
+
+    fn traffic(&self) -> (u64, u64) {
+        self.room.traffic()
     }
 }
 
@@ -501,6 +423,28 @@ mod tests {
             net.now() > t0,
             "airtime was spent even though storing failed"
         );
+    }
+
+    #[test]
+    fn injected_failure_fires_on_exact_operation() {
+        let (mut net, pda, laptop) = world();
+        net.set_failure_plan(laptop, FailurePlan::fail_once_at(1))
+            .unwrap();
+        net.send_blob(pda, laptop, "a", "1".into()).unwrap(); // op 0
+        let err = net.fetch_blob(pda, laptop, "a").unwrap_err(); // op 1 fails
+        assert!(matches!(err, NetError::InjectedFailure { op: "fetch", .. }));
+        assert_eq!(&net.fetch_blob(pda, laptop, "a").unwrap()[..], b"1"); // op 2 succeeds
+    }
+
+    #[test]
+    fn rate_plan_injects_through_the_store() {
+        let (mut net, pda, laptop) = world();
+        net.set_failure_plan(laptop, FailurePlan::fail_with_rate(11, 1.0))
+            .unwrap();
+        assert!(matches!(
+            net.send_blob(pda, laptop, "k", "1".into()),
+            Err(NetError::InjectedFailure { op: "store", .. })
+        ));
     }
 
     #[test]

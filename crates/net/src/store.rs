@@ -14,8 +14,9 @@ use std::collections::HashMap;
 
 /// The three-verb protocol spoken by storage devices.
 ///
-/// Implementations must be deterministic; fault injection is expressed
-/// through [`FailurePlan`] rather than randomness at the trait level.
+/// Implementations must be deterministic. Fault injection is not a store's
+/// business: fabrics evaluate each device's [`FailurePlan`] on the shared
+/// [`crate::Room`] before an op reaches the store.
 pub trait BlobStore {
     /// Store `data` under `key`.
     ///
@@ -51,11 +52,11 @@ pub trait BlobStore {
     fn blob_count(&self) -> usize;
 }
 
-/// Deterministic fault-injection plan for a [`MemStore`].
+/// Deterministic fault-injection plan for a device.
 ///
-/// Operations are counted across all three verbs; when the counter reaches
-/// an entry in `fail_at`, that operation fails with
-/// [`NetError::InjectedFailure`] (and still consumes the count).
+/// The device's [`crate::Room`] counts its operations across all three
+/// verbs; when the counter reaches an entry in `fail_at`, that operation
+/// fails with [`NetError::InjectedFailure`] (and still consumes the count).
 ///
 /// A plan may additionally carry a *seeded probabilistic* mode
 /// ([`FailurePlan::fail_with_rate`]): each operation index is hashed with
@@ -98,11 +99,7 @@ impl FailurePlan {
     }
 
     /// Whether the `op_counter`-th operation must fail under this plan.
-    ///
-    /// Public so transport backends outside this crate (the actor
-    /// runtime) can evaluate the same deterministic plan at their own
-    /// dispatch layer instead of inside a store they may not own.
-    pub fn should_fail(&self, op_counter: u64) -> bool {
+    pub(crate) fn should_fail(&self, op_counter: u64) -> bool {
         if self.fail_at.contains(&op_counter) {
             return true;
         }
@@ -136,8 +133,6 @@ pub struct MemStore {
     blobs: HashMap<String, Bytes>,
     quota: usize,
     used: usize,
-    ops: u64,
-    failures: FailurePlan,
 }
 
 impl DeviceId {
@@ -158,14 +153,7 @@ impl MemStore {
             blobs: HashMap::new(),
             quota,
             used: 0,
-            ops: 0,
-            failures: FailurePlan::none(),
         }
-    }
-
-    /// Install a fault-injection plan.
-    pub fn set_failure_plan(&mut self, plan: FailurePlan) {
-        self.failures = plan;
     }
 
     /// The quota in bytes.
@@ -183,23 +171,10 @@ impl MemStore {
     pub fn peek(&self, key: &str) -> Option<Bytes> {
         self.blobs.get(key).cloned()
     }
-
-    fn bump_op(&mut self, op: &'static str) -> Result<()> {
-        let n = self.ops;
-        self.ops += 1;
-        if self.failures.should_fail(n) {
-            return Err(NetError::InjectedFailure {
-                device: self.device,
-                op,
-            });
-        }
-        Ok(())
-    }
 }
 
 impl BlobStore for MemStore {
     fn store(&mut self, key: &str, data: Bytes) -> Result<()> {
-        self.bump_op("store")?;
         if self.blobs.contains_key(key) {
             return Err(NetError::DuplicateBlob {
                 device: self.device,
@@ -221,7 +196,6 @@ impl BlobStore for MemStore {
     }
 
     fn fetch(&mut self, key: &str) -> Result<Bytes> {
-        self.bump_op("fetch")?;
         self.blobs
             .get(key)
             .cloned()
@@ -232,7 +206,6 @@ impl BlobStore for MemStore {
     }
 
     fn drop_blob(&mut self, key: &str) -> Result<()> {
-        self.bump_op("drop")?;
         match self.blobs.remove_entry(key) {
             Some((key, data)) => {
                 self.used = self.used.saturating_sub(key.len() + data.len());
@@ -325,16 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_failure_fires_on_exact_operation() {
-        let mut s = store();
-        s.set_failure_plan(FailurePlan::fail_once_at(1));
-        s.store("a", "1".into()).unwrap(); // op 0
-        let err = s.fetch("a").unwrap_err(); // op 1 fails
-        assert!(matches!(err, NetError::InjectedFailure { op: "fetch", .. }));
-        assert_eq!(&s.fetch("a").unwrap()[..], b"1"); // op 2 succeeds
-    }
-
-    #[test]
     fn rate_plan_is_deterministic_for_a_seed() {
         // The same (seed, rate) fails the same operation indices on every
         // run; a different seed picks a different set.
@@ -357,16 +320,6 @@ mod tests {
         // A threshold of u64::MAX leaves at most a rounding sliver; every
         // index we probe must fail.
         assert!((0..100).all(|n| always.should_fail(n)));
-    }
-
-    #[test]
-    fn rate_plan_injects_through_the_store() {
-        let mut s = store();
-        s.set_failure_plan(FailurePlan::fail_with_rate(11, 1.0));
-        assert!(matches!(
-            s.store("k", "1".into()),
-            Err(NetError::InjectedFailure { op: "store", .. })
-        ));
     }
 
     #[test]

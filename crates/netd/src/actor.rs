@@ -11,53 +11,10 @@
 //! [`obiwan_net::MemStore`] or a [`obiwan_blobd::RemoteStore`] fronting a
 //! live `obiwan-blobd` process — the actor neither knows nor cares.
 
-use obiwan_net::{BlobStore, Bytes, LinkSpec, NetError, Result, SimDuration};
+use obiwan_net::{BlobStore, Bytes, NetError, Result};
 use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::time::Duration;
-
-/// Latency injection that rides inside a transfer op and is paid on the
-/// actor's own thread — the fabric caller never sleeps, so a core thread
-/// holding the world lock is never parked on modelled airtime.
-pub(crate) enum Pace {
-    /// No pacing: control-plane op, or latency injection disabled.
-    None,
-    /// Sleep a precomputed number of microseconds. The store path knows
-    /// the payload size — and therefore the modelled cost — up front.
-    Micros(u64),
-    /// Sleep the route's modelled transfer time for the blob the store
-    /// actually returns, scaled down by `divisor`. The fetch path cannot
-    /// price the transfer until the store answers with the bytes.
-    PerByte {
-        /// The route's links, in hop order.
-        hops: Vec<LinkSpec>,
-        /// Wall time is `modelled_cost / divisor`; zero disables.
-        divisor: u64,
-    },
-}
-
-impl Pace {
-    /// Sleep this pace out for a transfer of `len` bytes.
-    fn apply(&self, len: usize) {
-        let us = match self {
-            Pace::None => return,
-            Pace::Micros(us) => *us,
-            Pace::PerByte { hops, divisor } => {
-                let mut total = SimDuration::ZERO;
-                for hop in hops {
-                    total += hop.transfer_time(len);
-                }
-                match total.as_micros().checked_div(*divisor) {
-                    Some(us) => us,
-                    None => return,
-                }
-            }
-        };
-        if us > 0 {
-            std::thread::sleep(Duration::from_micros(us));
-        }
-    }
-}
 
 /// An operation shipped to a device actor.
 pub(crate) enum Op {
@@ -66,14 +23,10 @@ pub(crate) enum Op {
         key: String,
         /// Opaque blob bytes.
         data: Bytes,
-        /// Modelled transfer time to sleep before applying the store.
-        pace: Pace,
     },
     Fetch {
         /// Blob key.
         key: String,
-        /// Modelled transfer time to sleep once the blob size is known.
-        pace: Pace,
     },
     Drop {
         /// Blob key.
@@ -172,24 +125,14 @@ fn actor_main(mut store: Box<dyn BlobStore + Send>, rx: &mpsc::Receiver<Envelope
     let mut keys: BTreeSet<String> = BTreeSet::new();
     while let Ok(Envelope { op, reply }) = rx.recv() {
         let result = match op {
-            Op::Store { key, data, pace } => {
-                // Airtime was charged by the fabric before the op shipped
-                // (spent whether or not the store accepts); the modelled
-                // transfer time is slept here, off the caller's locks.
-                pace.apply(data.len());
+            Op::Store { key, data } => {
                 let r = store.store(&key, data);
                 if r.is_ok() {
                     keys.insert(key);
                 }
                 r.map(|()| Reply::Unit)
             }
-            Op::Fetch { key, pace } => {
-                let r = store.fetch(&key);
-                if let Ok(data) = &r {
-                    pace.apply(data.len());
-                }
-                r.map(Reply::Blob)
-            }
+            Op::Fetch { key } => store.fetch(&key).map(Reply::Blob),
             Op::Drop { key } => {
                 let r = store.drop_blob(&key);
                 if r.is_ok() {

@@ -1,29 +1,25 @@
 //! [`ActorNet`]: a live world of device actors implementing
 //! [`obiwan_net::Transport`].
 //!
-//! The control tables (profiles, links, presence, traffic, churn) live in
-//! the `ActorNet` itself and are serialized by the `Arc<Mutex<NetFabric>>`
-//! the core already locks; the *data plane* — every blob byte — flows
-//! through per-device actor inboxes, each actor owning its store (local
-//! memory or a remote `obiwan-blobd` process). Semantics mirror the
-//! simulation verb for verb: errors use the same [`NetError`] vocabulary
-//! in the same order (unknown device, departed, not connected, store
-//! errors), transfer costs use the same [`LinkSpec`] arithmetic, and
-//! airtime is charged even when the far store refuses the blob.
+//! The control plane — profiles, links, presence, routing, failure plans,
+//! traffic and churn — is the shared [`Room`], the same one the
+//! simulation runs on, serialized by the `Arc<Mutex<NetFabric>>` the core
+//! already locks. The *data plane* — every blob byte — flows through
+//! per-device actor inboxes, each actor owning its store (local memory or
+//! a remote `obiwan-blobd` process).
 //!
 //! What is *not* preserved: determinism. The clock is the sanctioned
 //! [`obiwan_net::clock::real`] seam, replies race real threads and real
 //! sockets, and traces are not replayable — which is exactly why
 //! `TransportKind::Sim` remains the default everywhere.
 
-use crate::actor::{Actor, Op, Pace, Reply};
+use crate::actor::{Actor, Op, Reply};
 use obiwan_blobd::RemoteStore;
 use obiwan_net::clock::RealClock;
 use obiwan_net::{
-    BlobStore, Bytes, DeviceId, DeviceKind, DeviceProfile, FailurePlan, LinkSpec, MemStore,
-    NetError, Result, Route, SimDuration, SimTime, Transport,
+    Bytes, DeviceId, DeviceKind, DeviceProfile, FailurePlan, LinkSpec, MemStore, NetError, Result,
+    Room, Route, SimDuration, SimTime, Transport,
 };
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -33,39 +29,16 @@ use std::time::Duration;
 /// budget, which this comfortably exceeds.
 const ACTOR_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Per-device deterministic failure injection evaluated at dispatch.
-struct PlanState {
-    plan: FailurePlan,
-    ops: u64,
-}
-
-struct DeviceSlot {
-    profile: DeviceProfile,
-    present: bool,
-    actor: Actor,
-    plan: PlanState,
-}
-
-/// A live transport world: one actor per device, mailbox-ordered
-/// delivery, per-link latency pacing and per-device failure injection.
+/// A live transport world: one actor per device, mailbox-ordered delivery.
 pub struct ActorNet {
+    room: Room<Actor>,
     clock: RealClock,
-    devices: Vec<DeviceSlot>,
-    links: BTreeMap<(u32, u32), LinkSpec>,
-    churn: u64,
-    bytes_sent: u64,
-    bytes_fetched: u64,
-    /// When nonzero, every transfer really sleeps `modelled_cost / divisor`
-    /// — latency injection scaled down so tests stay fast.
-    latency_divisor: u64,
 }
 
-fn norm(a: DeviceId, b: DeviceId) -> (u32, u32) {
-    let (x, y) = (a.index(), b.index());
-    if x <= y {
-        (x, y)
-    } else {
-        (y, x)
+fn mismatch(device: DeviceId, op: &str) -> NetError {
+    NetError::Protocol {
+        device,
+        detail: format!("actor returned a mismatched reply for {op}"),
     }
 }
 
@@ -73,13 +46,8 @@ impl ActorNet {
     /// An empty live world.
     pub fn new() -> ActorNet {
         ActorNet {
+            room: Room::new(),
             clock: obiwan_net::clock::real(),
-            devices: Vec::new(),
-            links: BTreeMap::new(),
-            churn: 0,
-            bytes_sent: 0,
-            bytes_fetched: 0,
-            latency_divisor: 0,
         }
     }
 
@@ -91,12 +59,9 @@ impl ActorNet {
         kind: DeviceKind,
         quota: usize,
     ) -> DeviceId {
-        let id = DeviceId::from_index(self.devices.len() as u32);
-        self.push_slot(
-            DeviceProfile::new(name, kind, quota),
-            Box::new(MemStore::new(id, quota)),
-        );
-        id
+        self.room.add(DeviceProfile::new(name, kind, quota), |id| {
+            Actor::spawn(Box::new(MemStore::new(id, quota)))
+        })
     }
 
     /// Add a device whose blobs live in a remote `obiwan-blobd` process at
@@ -110,125 +75,45 @@ impl ActorNet {
         quota: usize,
         addr: SocketAddr,
     ) -> DeviceId {
-        let id = DeviceId::from_index(self.devices.len() as u32);
-        self.push_slot(
-            DeviceProfile::new(name, kind, quota),
-            Box::new(RemoteStore::connect(id, addr)),
-        );
-        id
+        self.room.add(DeviceProfile::new(name, kind, quota), |id| {
+            Actor::spawn(Box::new(RemoteStore::connect(id, addr)))
+        })
     }
 
-    fn push_slot(&mut self, profile: DeviceProfile, store: Box<dyn BlobStore + Send>) {
-        self.devices.push(DeviceSlot {
-            profile,
-            present: true,
-            actor: Actor::spawn(store),
-            plan: PlanState {
-                plan: FailurePlan::none(),
-                ops: 0,
-            },
-        });
+    fn call(&self, device: DeviceId, op: Op) -> Result<Reply> {
+        self.room.handle(device)?.call(device, op, ACTOR_TIMEOUT)
     }
 
-    /// Scale real latency injection: every transfer sleeps
-    /// `modelled_cost / divisor` of wall time. Zero (the default)
-    /// disables sleeping entirely.
-    pub fn set_latency_divisor(&mut self, divisor: u64) {
-        self.latency_divisor = divisor;
+    /// Ship a store to `to`'s actor. Airtime is charged first, as the
+    /// simulation charges it: spent whether or not the store accepts.
+    fn store(&mut self, to: DeviceId, key: &str, data: Bytes) -> Result<()> {
+        self.room.charge_sent(data.len());
+        self.room.check_plan(to, "store")?;
+        let key = key.to_owned();
+        self.call(to, Op::Store { key, data }).map(drop)
     }
 
-    fn slot(&self, device: DeviceId) -> Result<&DeviceSlot> {
-        self.devices
-            .get(device.index() as usize)
-            .ok_or(NetError::UnknownDevice { device })
+    fn fetch(&mut self, to: DeviceId, key: &str) -> Result<Bytes> {
+        self.room.check_plan(to, "fetch")?;
+        let key = key.to_owned();
+        let Reply::Blob(data) = self.call(to, Op::Fetch { key })? else {
+            return Err(mismatch(to, "Fetch"));
+        };
+        self.room.charge_fetched(data.len());
+        Ok(data)
     }
 
-    fn slot_mut(&mut self, device: DeviceId) -> Result<&mut DeviceSlot> {
-        self.devices
-            .get_mut(device.index() as usize)
-            .ok_or(NetError::UnknownDevice { device })
+    fn drop_key(&mut self, to: DeviceId, key: &str) -> Result<()> {
+        self.room.check_plan(to, "drop")?;
+        let key = key.to_owned();
+        self.call(to, Op::Drop { key }).map(drop)
     }
 
-    /// Mirror of the simulation's reachability check, same error order.
-    fn require_link(&self, from: DeviceId, to: DeviceId) -> Result<LinkSpec> {
-        self.slot(from)?;
-        self.slot(to)?;
-        if !self.is_present(from) {
-            return Err(NetError::Departed { device: from });
+    fn used(&self, device: DeviceId) -> Result<usize> {
+        match self.call(device, Op::Used)? {
+            Reply::Size(used) => Ok(used),
+            _ => Err(mismatch(device, "Used")),
         }
-        if !self.is_present(to) {
-            return Err(NetError::Departed { device: to });
-        }
-        self.links
-            .get(&norm(from, to))
-            .copied()
-            .ok_or(NetError::NotConnected { from, to })
-    }
-
-    /// Deterministic per-device failure injection, evaluated at dispatch
-    /// (the live analogue of the simulation's store-level plans).
-    fn check_plan(&mut self, device: DeviceId, op: &'static str) -> Result<()> {
-        let slot = self.slot_mut(device)?;
-        let n = slot.plan.ops;
-        slot.plan.ops += 1;
-        if slot.plan.plan.should_fail(n) {
-            return Err(NetError::InjectedFailure { device, op });
-        }
-        Ok(())
-    }
-
-    /// The store-path pace: the payload size (and thus the modelled cost)
-    /// is known up front, so the sleep ships to the actor precomputed.
-    fn pace_micros(&self, cost: SimDuration) -> Pace {
-        match cost.as_micros().checked_div(self.latency_divisor) {
-            Some(us) => Pace::Micros(us),
-            None => Pace::None,
-        }
-    }
-
-    /// The fetch-path pace: the blob size is unknown until the far store
-    /// answers, so the actor prices the route itself from its links.
-    fn pace_per_byte(&self, hops: Vec<LinkSpec>) -> Pace {
-        if self.latency_divisor == 0 {
-            Pace::None
-        } else {
-            Pace::PerByte {
-                hops,
-                divisor: self.latency_divisor,
-            }
-        }
-    }
-
-    fn actor_call(&self, device: DeviceId, op: Op) -> Result<Reply> {
-        self.slot(device)?.actor.call(device, op, ACTOR_TIMEOUT)
-    }
-
-    /// The link specs along `route`, in hop order.
-    fn route_links(&self, route: &Route) -> Result<Vec<LinkSpec>> {
-        let mut hops = Vec::new();
-        let mut cur = route.from;
-        for &next in route.relays.iter().chain(std::iter::once(&route.to)) {
-            let link = self
-                .links
-                .get(&norm(cur, next))
-                .copied()
-                .ok_or(NetError::NotConnected {
-                    from: cur,
-                    to: next,
-                })?;
-            hops.push(link);
-            cur = next;
-        }
-        Ok(hops)
-    }
-
-    /// Hop-by-hop modelled cost of moving `bytes` along `route`.
-    fn route_cost(&self, route: &Route, bytes: usize) -> Result<SimDuration> {
-        let mut total = SimDuration::ZERO;
-        for hop in self.route_links(route)? {
-            total += hop.transfer_time(bytes);
-        }
-        Ok(total)
     }
 }
 
@@ -241,9 +126,8 @@ impl Default for ActorNet {
 impl std::fmt::Debug for ActorNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActorNet")
-            .field("devices", &self.devices.len())
-            .field("links", &self.links.len())
-            .field("churn", &self.churn)
+            .field("devices", &self.room.device_ids().len())
+            .field("churn", &self.room.churn_seq())
             .finish_non_exhaustive()
     }
 }
@@ -259,172 +143,56 @@ impl Transport for ActorNet {
     }
 
     fn profile(&self, device: DeviceId) -> Result<&DeviceProfile> {
-        self.slot(device).map(|s| &s.profile)
+        self.room.profile(device)
     }
 
     fn set_failure_plan(&mut self, device: DeviceId, plan: FailurePlan) -> Result<()> {
-        let slot = self.slot_mut(device)?;
-        slot.plan = PlanState { plan, ops: 0 };
-        Ok(())
+        self.room.set_failure_plan(device, plan)
     }
 
     fn connect(&mut self, a: DeviceId, b: DeviceId, link: LinkSpec) -> Result<()> {
-        self.slot(a)?;
-        self.slot(b)?;
-        self.links.insert(norm(a, b), link);
-        self.churn += 1;
-        Ok(())
+        self.room.connect(a, b, link)
     }
 
     fn disconnect(&mut self, a: DeviceId, b: DeviceId) {
-        if self.links.remove(&norm(a, b)).is_some() {
-            self.churn += 1;
-        }
+        self.room.disconnect(a, b);
     }
 
     fn link(&self, a: DeviceId, b: DeviceId) -> Option<LinkSpec> {
-        if self.is_present(a) && self.is_present(b) {
-            self.links.get(&norm(a, b)).copied()
-        } else {
-            None
-        }
+        self.room.link(a, b)
     }
 
     fn nearby(&self, of: DeviceId) -> Vec<DeviceId> {
-        let mut out: Vec<DeviceId> = self
-            .links
-            .keys()
-            .filter_map(|&(a, b)| {
-                if a == of.index() {
-                    Some(DeviceId::from_index(b))
-                } else if b == of.index() {
-                    Some(DeviceId::from_index(a))
-                } else {
-                    None
-                }
-            })
-            .filter(|&id| self.link(of, id).is_some())
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+        self.room.nearby(of)
     }
 
     fn reachable(&self, of: DeviceId) -> Vec<(DeviceId, usize)> {
-        // Breadth-first over present devices, ascending id inside each
-        // ring — the same deterministic order the simulation's router uses.
-        let mut out = Vec::new();
-        if !self.is_present(of) {
-            return out;
-        }
-        let mut seen = vec![false; self.devices.len()];
-        if let Some(flag) = seen.get_mut(of.index() as usize) {
-            *flag = true;
-        }
-        let mut frontier = vec![of];
-        let mut hops = 0;
-        while !frontier.is_empty() {
-            hops += 1;
-            let mut next = Vec::new();
-            for &cur in &frontier {
-                for n in self.nearby(cur) {
-                    let idx = n.index() as usize;
-                    if seen.get(idx).copied().unwrap_or(true) {
-                        continue;
-                    }
-                    if let Some(flag) = seen.get_mut(idx) {
-                        *flag = true;
-                    }
-                    next.push(n);
-                }
-            }
-            next.sort();
-            out.extend(next.iter().map(|&d| (d, hops)));
-            frontier = next;
-        }
-        out
+        self.room.reachable(of)
     }
 
     fn route(&self, from: DeviceId, to: DeviceId) -> Option<Route> {
-        if !self.is_present(from) || !self.is_present(to) {
-            return None;
-        }
-        // BFS with parent pointers; neighbour order is ascending id, so
-        // tie-breaks match the simulation's router.
-        let mut parent: Vec<Option<DeviceId>> = vec![None; self.devices.len()];
-        let mut seen = vec![false; self.devices.len()];
-        if let Some(flag) = seen.get_mut(from.index() as usize) {
-            *flag = true;
-        }
-        let mut frontier = vec![from];
-        while !frontier.is_empty() && !seen.get(to.index() as usize).copied().unwrap_or(false) {
-            let mut next = Vec::new();
-            for &cur in &frontier {
-                for n in self.nearby(cur) {
-                    let idx = n.index() as usize;
-                    if seen.get(idx).copied().unwrap_or(true) {
-                        continue;
-                    }
-                    if let Some(flag) = seen.get_mut(idx) {
-                        *flag = true;
-                    }
-                    if let Some(p) = parent.get_mut(idx) {
-                        *p = Some(cur);
-                    }
-                    next.push(n);
-                }
-            }
-            next.sort();
-            frontier = next;
-        }
-        if !seen.get(to.index() as usize).copied().unwrap_or(false) {
-            return None;
-        }
-        let mut relays = Vec::new();
-        let mut cur = to;
-        while let Some(p) = parent.get(cur.index() as usize).copied().flatten() {
-            if p == from {
-                break;
-            }
-            relays.push(p);
-            cur = p;
-        }
-        relays.reverse();
-        Some(Route { from, to, relays })
+        self.room.route(from, to)
     }
 
     fn free_storage(&self, device: DeviceId) -> Result<usize> {
-        let quota = self.slot(device)?.profile.storage_quota;
-        match self.actor_call(device, Op::Used)? {
-            Reply::Size(used) => Ok(quota.saturating_sub(used)),
-            _ => Err(NetError::Protocol {
-                device,
-                detail: "actor returned a mismatched reply for Used".into(),
-            }),
-        }
+        let quota = self.room.profile(device)?.storage_quota;
+        Ok(quota.saturating_sub(self.used(device)?))
     }
 
     fn depart(&mut self, device: DeviceId) -> Result<()> {
-        self.slot_mut(device)?.present = false;
-        self.churn += 1;
-        Ok(())
+        self.room.depart(device)
     }
 
     fn arrive(&mut self, device: DeviceId) -> Result<()> {
-        self.slot_mut(device)?.present = true;
-        self.churn += 1;
-        Ok(())
+        self.room.arrive(device)
     }
 
     fn churn_seq(&self) -> u64 {
-        self.churn
+        self.room.churn_seq()
     }
 
     fn is_present(&self, device: DeviceId) -> bool {
-        self.devices
-            .get(device.index() as usize)
-            .map(|s| s.present)
-            .unwrap_or(false)
+        self.room.is_present(device)
     }
 
     fn send_blob(
@@ -434,55 +202,19 @@ impl Transport for ActorNet {
         key: &str,
         data: Bytes,
     ) -> Result<SimDuration> {
-        let link = self.require_link(from, to)?;
-        self.check_plan(to, "store")?;
-        let bytes = data.len();
-        let cost = link.transfer_time(bytes);
-        // Airtime is spent before the far store accepts or refuses — the
-        // same accounting the simulation uses. The sleep itself rides in
-        // the op and is paid on the actor thread.
-        self.bytes_sent = self.bytes_sent.saturating_add(bytes as u64);
-        self.actor_call(
-            to,
-            Op::Store {
-                key: key.to_owned(),
-                data,
-                pace: self.pace_micros(cost),
-            },
-        )?;
+        let cost = self.room.require_link(from, to)?.transfer_time(data.len());
+        self.store(to, key, data)?;
         Ok(cost)
     }
 
     fn fetch_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<Bytes> {
-        let link = self.require_link(from, to)?;
-        self.check_plan(to, "fetch")?;
-        let reply = self.actor_call(
-            to,
-            Op::Fetch {
-                key: key.to_owned(),
-                pace: self.pace_per_byte(vec![link]),
-            },
-        )?;
-        let Reply::Blob(data) = reply else {
-            return Err(NetError::Protocol {
-                device: to,
-                detail: "actor returned a mismatched reply for Fetch".into(),
-            });
-        };
-        self.bytes_fetched = self.bytes_fetched.saturating_add(data.len() as u64);
-        Ok(data)
+        self.room.require_link(from, to)?;
+        self.fetch(to, key)
     }
 
     fn drop_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<()> {
-        self.require_link(from, to)?;
-        self.check_plan(to, "drop")?;
-        self.actor_call(
-            to,
-            Op::Drop {
-                key: key.to_owned(),
-            },
-        )?;
-        Ok(())
+        self.room.require_link(from, to)?;
+        self.drop_key(to, key)
     }
 
     fn send_blob_routed(
@@ -492,25 +224,13 @@ impl Transport for ActorNet {
         key: &str,
         data: Bytes,
     ) -> Result<(Route, SimDuration)> {
-        let route = self
-            .route(from, to)
-            .ok_or(NetError::NotConnected { from, to })?;
-        if route.relays.is_empty() {
-            let cost = self.send_blob(from, to, key, data)?;
-            return Ok((route, cost));
+        let (route, hops) = self.room.route_hops(from, to)?;
+        let mut cost = SimDuration::ZERO;
+        for (_, _, link) in hops {
+            cost += link.transfer_time(data.len());
         }
-        let total = self.route_cost(&route, data.len())?;
-        self.check_plan(to, "store")?;
-        self.bytes_sent = self.bytes_sent.saturating_add(data.len() as u64);
-        self.actor_call(
-            to,
-            Op::Store {
-                key: key.to_owned(),
-                data,
-                pace: self.pace_micros(total),
-            },
-        )?;
-        Ok((route, total))
+        self.store(to, key, data)?;
+        Ok((route, cost))
     }
 
     fn fetch_blob_routed(
@@ -519,105 +239,53 @@ impl Transport for ActorNet {
         to: DeviceId,
         key: &str,
     ) -> Result<(Route, Bytes)> {
-        let route = self
-            .route(from, to)
-            .ok_or(NetError::NotConnected { from, to })?;
-        if route.relays.is_empty() {
-            let data = self.fetch_blob(from, to, key)?;
-            return Ok((route, data));
-        }
-        self.check_plan(to, "fetch")?;
-        let reply = self.actor_call(
-            to,
-            Op::Fetch {
-                key: key.to_owned(),
-                pace: self.pace_per_byte(self.route_links(&route)?),
-            },
-        )?;
-        let Reply::Blob(data) = reply else {
-            return Err(NetError::Protocol {
-                device: to,
-                detail: "actor returned a mismatched reply for Fetch".into(),
-            });
-        };
-        self.bytes_fetched = self.bytes_fetched.saturating_add(data.len() as u64);
+        let (route, _) = self.room.route_hops(from, to)?;
+        let data = self.fetch(to, key)?;
         Ok((route, data))
     }
 
     fn drop_blob_routed(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<()> {
-        let route = self
-            .route(from, to)
-            .ok_or(NetError::NotConnected { from, to })?;
-        if route.relays.is_empty() {
-            return self.drop_blob(from, to, key);
-        }
-        self.check_plan(to, "drop")?;
-        self.actor_call(
-            to,
-            Op::Drop {
-                key: key.to_owned(),
-            },
-        )?;
-        Ok(())
+        self.room.route_hops(from, to)?;
+        self.drop_key(to, key)
     }
 
     fn holds_blob(&self, to: DeviceId, key: &str) -> bool {
-        matches!(
-            self.actor_call(
-                to,
-                Op::Contains {
-                    key: key.to_owned()
-                }
-            ),
-            Ok(Reply::Flag(true))
-        )
+        let key = key.to_owned();
+        matches!(self.call(to, Op::Contains { key }), Ok(Reply::Flag(true)))
     }
 
     fn holders_of_key(&self, key: &str) -> Vec<DeviceId> {
-        // Departed devices keep their blobs (and their actors), exactly
-        // like the simulation's "walked away with the bytes" semantics.
-        (0..self.devices.len() as u32)
-            .map(DeviceId::from_index)
+        self.room
+            .present()
+            .map(|(id, _)| id)
             .filter(|&d| self.holds_blob(d, key))
             .collect()
     }
 
     fn blob_keys(&self, device: DeviceId) -> Vec<String> {
-        match self.actor_call(device, Op::Keys) {
+        match self.call(device, Op::Keys) {
             Ok(Reply::Keys(keys)) => keys,
             _ => Vec::new(),
         }
     }
 
     fn blob_data(&self, device: DeviceId, key: &str) -> Option<Bytes> {
-        match self.actor_call(
-            device,
-            Op::Data {
-                key: key.to_owned(),
-            },
-        ) {
+        let key = key.to_owned();
+        match self.call(device, Op::Data { key }) {
             Ok(Reply::MaybeBlob(data)) => data,
             _ => None,
         }
     }
 
     fn stored_bytes(&self, device: DeviceId) -> Result<usize> {
-        match self.actor_call(device, Op::Used)? {
-            Reply::Size(used) => Ok(used),
-            _ => Err(NetError::Protocol {
-                device,
-                detail: "actor returned a mismatched reply for Used".into(),
-            }),
-        }
+        self.used(device)
     }
 
     fn device_ids(&self) -> Vec<DeviceId> {
-        (0..self.devices.len() as u32)
-            .map(DeviceId::from_index)
-            .collect()
+        self.room.device_ids()
     }
 
     fn traffic(&self) -> (u64, u64) {
-        (self.bytes_sent, self.bytes_fetched)
+        self.room.traffic()
     }
 }

@@ -9,19 +9,16 @@
 //! ([`obiwan_blobd::RemoteStore`], fronting an `obiwan-blobd` daemon over
 //! TCP), and the actor neither knows nor cares which.
 //!
-//! What carries over from the simulation, verb for verb:
+//! [`ActorNet`] keeps its devices and links on the same
+//! [`obiwan_net::Room`] that `SimNet` runs on, so presence, routing, the
+//! error precedence (unknown device before departed before not-connected
+//! before store errors), [`obiwan_net::FailurePlan`] injection and churn
+//! sequencing have one implementation. `tests/differential.rs` runs one
+//! verb script against both fabrics to keep their data planes in step:
+//! airtime is charged *before* the far store accepts or refuses a blob,
+//! exactly as in the simulation.
 //!
-//! - the [`obiwan_net::NetError`] vocabulary and its ordering (unknown
-//!   device before departed before not-connected before store errors),
-//!   so the core's ordered failover and repair sweeps work unchanged;
-//! - [`obiwan_net::LinkSpec`] transfer-cost arithmetic, charged *before*
-//!   the far store accepts or refuses a blob ("errors still cost
-//!   airtime");
-//! - deterministic per-device [`obiwan_net::FailurePlan`] injection,
-//!   evaluated at the dispatch layer;
-//! - churn sequencing on connect/disconnect/depart/arrive.
-//!
-//! What does not: determinism itself. The clock is the sanctioned
+//! What the live fabric gives up is determinism. The clock is the sanctioned
 //! [`obiwan_net::clock::real`] seam, and replies race real threads and —
 //! for remote devices — real sockets. That is why `TransportKind::Sim`
 //! stays the default and golden traces are only ever cut there.
@@ -77,7 +74,7 @@ mod tests {
             Err(NetError::Departed { .. })
         ));
         // The bytes walked away with the device, not into the void.
-        assert_eq!(net.holders_of_key("k"), vec![b]);
+        assert_eq!(net.blob_keys(b), vec!["k".to_string()]);
         net.arrive(b).unwrap();
         assert_eq!(&net.fetch_blob(a, b, "k").unwrap()[..], b"x");
     }

@@ -6,8 +6,8 @@ use std::fmt;
 ///
 /// Nothing here consults a wall clock: `seq` is the recorder's own
 /// monotonic counter, `churn` mirrors the simulated world's topology
-/// sequence (`SimNet::churn_seq`) at recording time, and `at_us` is the
-/// virtual [`SimTime`]-style clock in microseconds. Two runs of the same
+/// sequence (`Transport::churn_seq`) at recording time, and `at_us` is the
+/// virtual `SimTime`-style clock in microseconds. Two runs of the same
 /// deterministic workload produce byte-identical stamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Stamp {

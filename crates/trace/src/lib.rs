@@ -9,7 +9,7 @@
 //!   ([`EventKind`]), each stamped ([`Stamp`]) with a monotonic sequence
 //!   number, the simulated-network churn sequence and the virtual clock.
 //! * [`Histogram`] — fixed power-of-two-bucket latency/size histograms,
-//!   and [`derive`] — folds of the event stream: counters
+//!   and [`derive`](mod@derive) — folds of the event stream: counters
 //!   ([`derive::fold_counts`]), histograms ([`derive::summarize`]) and
 //!   per-cluster lifecycle timelines ([`derive::timelines`]).
 //! * [`json`] — a deterministic exporter (byte-identical output for

@@ -51,7 +51,9 @@ pub mod prelude {
         VictimPolicy,
     };
     pub use obiwan_heap::{ClassBuilder, ClassRegistry, Heap, ObjRef, ObjectKind, Oid, Value};
-    pub use obiwan_net::{DeviceId, DeviceKind, LinkSpec, NetFabric, SimNet, TransportKind};
+    pub use obiwan_net::{
+        DeviceId, DeviceKind, LinkSpec, NetFabric, SimNet, Transport, TransportKind,
+    };
     pub use obiwan_policy::{ContextManager, PolicyEngine, Watermarks};
     pub use obiwan_replication::{
         standard_classes, ClusterStrategy, Process, Server, UniverseBuilder,
