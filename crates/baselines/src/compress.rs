@@ -16,7 +16,6 @@
 //! remote stores ([`obiwan_net::BlobStore`]) so benches can swap it in for
 //! the network path one-for-one.
 
-use crate::lz;
 use obiwan_net::{BlobStore, Bytes, DeviceId, NetError};
 use std::collections::HashMap;
 
@@ -97,7 +96,7 @@ impl BlobStore for CompressedPool {
                 key: key.to_string(),
             });
         }
-        let compressed = lz::compress(&data);
+        let compressed = obiwan_lz::compress(&data);
         if self.used + compressed.len() > self.budget {
             return Err(NetError::QuotaExceeded {
                 device: DeviceId::default(),
@@ -120,7 +119,7 @@ impl BlobStore for CompressedPool {
             key: key.to_string(),
         })?;
         self.stats.decompressions += 1;
-        let raw = lz::decompress(compressed).map_err(|_| NetError::UnknownBlob {
+        let raw = obiwan_lz::decompress(compressed).map_err(|_| NetError::UnknownBlob {
             device: DeviceId::default(),
             key: key.to_string(),
         })?;

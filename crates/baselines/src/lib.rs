@@ -12,7 +12,7 @@
 //!   track remote residency, and a DGC protocol exchanges liveness
 //!   messages per object — the infrastructure cost the paper avoids.
 //! * [`compress`] — the heap-compression approach (\[2, 3, 14\]): swapped
-//!   clusters are compressed with [`lz`] into an in-memory pool instead of
+//!   clusters are compressed with [`obiwan_lz`] into an in-memory pool instead of
 //!   leaving the device, trading CPU for memory and shrinking the heap
 //!   available to the application by the pool size.
 //!
@@ -24,6 +24,5 @@
 #![warn(missing_docs)]
 
 pub mod compress;
-pub mod lz;
 pub mod naive;
 pub mod offload;

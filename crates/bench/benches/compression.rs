@@ -9,7 +9,6 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use obiwan_baselines::compress::CompressedPool;
-use obiwan_baselines::lz;
 use obiwan_core::Middleware;
 use obiwan_heap::Value;
 use obiwan_net::BlobStore;
@@ -37,22 +36,23 @@ fn blob_for(size: usize) -> String {
         .iter()
         .map(|&(_, r)| r)
         .collect();
-    obiwan_core::codec::encode(mw.process(), 1, 0, &members).expect("encode")
+    let blob = obiwan_core::codec::capture(mw.process(), 1, 0, &members).expect("capture");
+    obiwan_core::codec::render_xml(&blob).expect("render")
 }
 
 fn bench_compression(c: &mut Criterion) {
     let mut group = c.benchmark_group("compression");
     for size in [100usize, 400] {
         let blob = blob_for(size);
-        let compressed = lz::compress(blob.as_bytes());
+        let compressed = obiwan_lz::compress(blob.as_bytes());
         group.throughput(Throughput::Bytes(blob.len() as u64));
         group.bench_with_input(BenchmarkId::new("lz_compress", size), &blob, |b, blob| {
-            b.iter(|| lz::compress(blob.as_bytes()))
+            b.iter(|| obiwan_lz::compress(blob.as_bytes()))
         });
         group.bench_with_input(
             BenchmarkId::new("lz_decompress", size),
             &compressed,
-            |b, compressed| b.iter(|| lz::decompress(compressed).unwrap()),
+            |b, compressed| b.iter(|| obiwan_lz::decompress(compressed).unwrap()),
         );
         group.bench_with_input(
             BenchmarkId::new("pool_store_fetch_drop", size),

@@ -71,11 +71,6 @@ fn run(n: usize) -> Result<()> {
     // Ablation 8: reload availability and repair traffic under churn.
     let dpoints = obiwan_bench::durability::run_sweep(40)?;
     println!("{}", obiwan_bench::durability::render(&dpoints));
-
-    // Ablation 9: manager contention over the shard-count grid.
-    let (cn, csteps) = (120, 1_500);
-    let cpoints = obiwan_bench::contention::run_matrix(cn, csteps, &[1, 3], &[1, 4, 8, 16])?;
-    println!("{}", obiwan_bench::contention::render(&cpoints, cn, csteps));
     Ok(())
 }
 
@@ -102,7 +97,7 @@ fn compression_report(list_len: usize) -> Result<String> {
             .iter()
             .map(|&(_, r)| r)
             .collect();
-        let xml = codec::encode(mw.process(), 1, 0, &members)?;
+        let xml = codec::render_xml(&codec::capture(mw.process(), 1, 0, &members)?)?;
         let bytes = members.len() * 64;
         (xml, bytes)
     };

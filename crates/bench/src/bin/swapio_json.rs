@@ -28,11 +28,5 @@ fn run(list_len: usize) -> obiwan_bench::Result<String> {
     let points = swapio::run_format_sweep(list_len)?;
     swapio::check_decode_gate(&points)?;
     let histograms = swapio::run_trace_histograms(list_len, 8)?;
-    let contention = obiwan_bench::contention::run_matrix(120, 1_500, &[1, 3], &[1, 4, 8, 16])?;
-    Ok(swapio::formats_json(
-        list_len,
-        &points,
-        &histograms,
-        &contention,
-    ))
+    Ok(swapio::formats_json(list_len, &points, &histograms))
 }

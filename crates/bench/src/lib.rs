@@ -16,8 +16,6 @@
 //!   offload DGC baseline (Ablation 7).
 //! * [`durability`] measures reload availability and repair traffic under
 //!   seeded churn for k-way placement (Ablation 8).
-//! * [`contention`] races maintenance threads against a mutator over the
-//!   shard-count grid of the manager's lock table (Ablation 9).
 //!
 //! Binaries: `fig5` prints the headline table, `ablations` prints the rest.
 //! The Criterion benches under `benches/` reuse these workloads for
@@ -28,7 +26,6 @@
 
 use std::fmt;
 
-pub mod contention;
 pub mod dgc_traffic;
 pub mod durability;
 pub mod fig5;

@@ -258,7 +258,6 @@ pub fn formats_json(
     list_len: usize,
     points: &[WireFormatPoint],
     histograms: &[(String, obiwan_trace::TraceSummary)],
-    contention: &[crate::contention::ContentionPoint],
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"swap_io.wire_formats\",\n");
@@ -282,12 +281,6 @@ pub fn formats_json(
         out.push_str(&format!(
             ",\n  \"trace_histograms\": {}",
             trace_histograms_json(histograms)
-        ));
-    }
-    if !contention.is_empty() {
-        out.push_str(&format!(
-            ",\n  \"contention\": {}",
-            crate::contention::to_json(contention)
         ));
     }
     out.push_str("\n}\n");
@@ -452,21 +445,14 @@ mod tests {
     fn format_json_snapshot_is_well_formed() {
         let points = run_format_sweep(100).unwrap();
         let histograms = run_trace_histograms(100, 2).unwrap();
-        let contention = crate::contention::run_matrix(60, 50, &[1], &[1, 2]).unwrap();
-        let json = formats_json(100, &points, &histograms, &contention);
+        let json = formats_json(100, &points, &histograms);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"decode_ir_us\""), "arena column missing");
         assert_eq!(json.matches("\"format\"").count(), points.len());
         for kind in ["xml", "binary", "lz-binary"] {
             assert!(json.contains(kind), "missing {kind}");
         }
-        for key in [
-            "trace_histograms",
-            "detach_us",
-            "ship_airtime_us",
-            "contention",
-            "maintenance_ops",
-        ] {
+        for key in ["trace_histograms", "detach_us", "ship_airtime_us"] {
             assert!(json.contains(key), "missing {key}");
         }
     }

@@ -4,7 +4,7 @@
 //! length followed by the body. Request bodies are
 //! `[op u8][key_len u16 LE][key bytes][payload]`; response bodies are
 //! `[status u8][payload]`. The payload of a `Store` request and of a
-//! successful `Fetch` response is the self-describing `WireFormat` blob
+//! successful `Fetch` response is the self-describing wire-format blob
 //! exactly as the simulation ships it — the daemon never inspects it,
 //! faithful to the paper's "dumb storage device".
 //!
@@ -22,7 +22,7 @@ use std::io::{Read, Write};
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Bytes returned by a `PeekHeader` response: enough to cover every
-/// self-describing `WireFormat` header.
+/// self-describing wire-format header.
 pub const PEEK_LEN: usize = 64;
 
 /// A structured framing/decoding fault. Every decoding path returns one of

@@ -6,7 +6,7 @@
 //! the same three-verb store as a standalone TCP daemon, so the swap
 //! fabric can run as the distributed system the paper describes: a PDA's
 //! middleware detaching swap-clusters and shipping the self-describing
-//! `WireFormat` blobs to live neighbour processes.
+//! wire-format blobs to live neighbour processes.
 //!
 //! # Wire protocol
 //!

@@ -1,16 +1,12 @@
-//! The capture/materialize layer: object clusters ⇆ the [`Blob`] IR, plus
-//! the paper-faithful XML rendering of that IR.
-//!
-//! The pipeline is split in two:
+//! The capture layer, plus the paper-faithful XML dialect of the [`Blob`]
+//! IR.
 //!
 //! * [`capture`] walks the heap graph and produces a pure [`Blob`] IR.
 //!   Every invariant check lives here — in particular the rule that any
-//!   cross-swap-cluster reference must be mediated by a proxy. The reload
-//!   path materializes the IR back into the heap (see `reload.rs`).
-//! * A [`WireFormat`](crate::wire::WireFormat) turns a [`Blob`] into bytes
-//!   and back. This module keeps the XML dialect ([`render_xml`] /
-//!   [`decode`]); compact binary and compressed formats live in
-//!   [`wire`](crate::wire).
+//!   cross-swap-cluster reference must be mediated by a proxy.
+//! * [`render_xml`] writes a [`Blob`] as XML text, and `decode_xml_into`
+//!   streams XML text back into a [`BlobSink`]. The format table and the
+//!   decode dispatch over every format live in [`wire`](crate::wire).
 //!
 //! The portability argument of the paper rests on the XML artifact: a
 //! swapped-out cluster travels as self-describing XML text, so the storing
@@ -39,6 +35,7 @@
 //! reference to an object that had not been replicated at swap-out time.
 //! Null fields are omitted.
 
+use crate::wire::{BlobHeader, BlobSink, XML_FORMAT_ID};
 use crate::{Result, SwapError};
 use bytes::Bytes;
 use obiwan_heap::{ObjRef, ObjectKind, Oid, Value};
@@ -85,8 +82,7 @@ pub struct Blob {
 
 /// Capture the members of swap-cluster `sc` as a pure [`Blob`] IR.
 ///
-/// This is the graph→IR half of the old fused encoder: all invariant
-/// checks happen here, so every wire format serializes an
+/// All invariant checks happen here, so every wire format serializes an
 /// already-validated blob.
 ///
 /// # Errors
@@ -150,17 +146,6 @@ fn capture_field(
         }
         scalar => Ok(Some(BlobField::Scalar(scalar.clone()))),
     }
-}
-
-/// Serialize the members of swap-cluster `sc` to XML text — the historical
-/// fused entry point, now [`capture`] followed by [`render_xml`]. The
-/// output is byte-for-byte identical to the pre-split encoder.
-///
-/// # Errors
-///
-/// As [`capture`].
-pub fn encode(p: &Process, sc: u32, epoch: u32, members: &[ObjRef]) -> Result<String> {
-    render_xml(&capture(p, sc, epoch, members)?)
 }
 
 /// Render a captured [`Blob`] as the paper's pretty-printed XML dialect.
@@ -248,54 +233,48 @@ fn render_field(w: &mut Writer, i: usize, f: &BlobField) -> Result<()> {
     Ok(())
 }
 
-/// Parse blob text back into its structured form.
-///
-/// # Errors
-///
-/// XML errors and [`SwapError::Codec`] for dialect violations (bad kinds,
-/// malformed numbers, count mismatch).
-pub fn decode(xml: &str) -> Result<Blob> {
-    let root = Element::parse(xml)?;
+/// Stream blob XML into `sink` in document order: `begin`, then per
+/// `<object>` a `begin_object` and its fields. Parse errors surface in
+/// document order; a `count` attribute that disagrees with the objects
+/// present is reported last. The capacity hints are the element counts
+/// the parse found, never the `count` attribute.
+pub(crate) fn decode_xml_into<S: BlobSink + ?Sized>(
+    data: &[u8],
+    sink: &mut S,
+) -> Result<BlobHeader> {
+    let text = std::str::from_utf8(data)
+        .map_err(|e| SwapError::codec(format!("blob is not UTF-8 XML: {e}")))?;
+    let root = Element::parse(text)?;
     if root.name() != "swap-cluster" {
         return Err(SwapError::codec(format!(
             "expected <swap-cluster>, found <{}>",
             root.name()
         )));
     }
-    let swap_cluster: u32 = root.parse_attr("id")?;
-    let epoch: u32 = root.parse_attr("epoch")?;
+    let header = BlobHeader {
+        format_id: XML_FORMAT_ID,
+        swap_cluster: root.parse_attr("id")?,
+        epoch: root.parse_attr("epoch")?,
+    };
     let count: usize = root.parse_attr("count")?;
-    let objects: Vec<BlobObject> = root
-        .children_named("object")
-        .map(decode_object)
-        .collect::<Result<_>>()?;
-    if objects.len() != count {
+    let found = root.children_named("object").count();
+    sink.begin(&header, found)?;
+    for el in root.children_named("object") {
+        let oid = Oid(el.parse_attr("oid")?);
+        let class = el.require_attr("class")?;
+        let repl_cluster: u32 = el.parse_attr("repl")?;
+        sink.begin_object(oid, class, repl_cluster, el.children_named("field").count())?;
+        for f in el.children_named("field") {
+            let (i, field) = decode_field(f)?;
+            sink.field(i, field)?;
+        }
+    }
+    if found != count {
         return Err(SwapError::codec(format!(
-            "blob declares {count} objects but contains {}",
-            objects.len()
+            "blob declares {count} objects but contains {found}"
         )));
     }
-    Ok(Blob {
-        swap_cluster,
-        epoch,
-        objects,
-    })
-}
-
-fn decode_object(el: &Element) -> Result<BlobObject> {
-    let oid = Oid(el.parse_attr("oid")?);
-    let class = el.require_attr("class")?.to_string();
-    let repl_cluster: u32 = el.parse_attr("repl")?;
-    let fields = el
-        .children_named("field")
-        .map(decode_field)
-        .collect::<Result<_>>()?;
-    Ok(BlobObject {
-        oid,
-        class,
-        repl_cluster,
-        fields,
-    })
+    Ok(header)
 }
 
 fn decode_field(el: &Element) -> Result<(usize, BlobField)> {
@@ -341,7 +320,16 @@ fn hex_decode(text: &str) -> Result<Bytes> {
 #[allow(clippy::disallowed_methods)] // tests may panic on impossible states
 mod tests {
     use super::*;
+    use crate::wire::decode_blob;
     use obiwan_replication::{standard_classes, ReplConfig, Server};
+
+    fn capture_xml(p: &Process, sc: u32, epoch: u32, members: &[ObjRef]) -> Result<String> {
+        render_xml(&capture(p, sc, epoch, members)?)
+    }
+
+    fn decode(xml: &str) -> Result<Blob> {
+        decode_blob(xml.as_bytes())
+    }
 
     #[test]
     fn hex_roundtrip() {
@@ -369,7 +357,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip_with_member_refs_and_payloads() {
         let (p, members) = two_member_process();
-        let xml = encode(&p, 5, 3, &members).unwrap();
+        let xml = capture_xml(&p, 5, 3, &members).unwrap();
         let blob = decode(&xml).unwrap();
         assert_eq!(blob.swap_cluster, 5);
         assert_eq!(blob.epoch, 3);
@@ -405,7 +393,7 @@ mod tests {
         let root = p.replicate_root(head).unwrap();
         let second = p.field_value(root, "next").unwrap().expect_ref().unwrap();
         // second.next is a fault proxy to oid head+2.
-        let xml = encode(&p, 1, 0, &[root, second]).unwrap();
+        let xml = capture_xml(&p, 1, 0, &[root, second]).unwrap();
         let blob = decode(&xml).unwrap();
         let second_fields = &blob.objects[1].fields;
         assert!(second_fields
@@ -424,7 +412,7 @@ mod tests {
             .unwrap();
         p.set_field_value(members[0], "next", Value::Ref(outsider))
             .unwrap();
-        let err = encode(&p, 1, 0, &[members[0]]).unwrap_err();
+        let err = capture_xml(&p, 1, 0, &[members[0]]).unwrap_err();
         assert!(matches!(err, SwapError::Codec { .. }));
     }
 

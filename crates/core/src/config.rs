@@ -27,10 +27,6 @@ pub struct SwapConfig {
     /// Run a local collection right after a swap-out so the freed memory is
     /// immediately available (the paper's LGC cooperation).
     pub collect_after_swap_out: bool,
-    /// Instruct the storing device to drop the blob as soon as the cluster
-    /// has been swapped back in (fresh keys are used per swap-out epoch, so
-    /// leaving blobs behind only wastes the neighbour's quota).
-    pub drop_blob_on_reload: bool,
     /// Allow swap targets that are only reachable through relays — the
     /// paper's closing vision of devices "available to any user either to
     /// store data or to relay communications". Every hop pays its airtime.
@@ -67,7 +63,6 @@ impl Default for SwapConfig {
             clusters_per_swap_cluster: 1,
             victim_policy: VictimPolicy::default(),
             collect_after_swap_out: true,
-            drop_blob_on_reload: true,
             allow_relays: false,
             wire_format: WireFormatKind::default(),
             replication_factor: 1,
@@ -99,12 +94,6 @@ impl SwapConfig {
     /// Control post-swap-out collection.
     pub fn collect_after_swap_out(mut self, yes: bool) -> Self {
         self.collect_after_swap_out = yes;
-        self
-    }
-
-    /// Control eager blob dropping on reload.
-    pub fn drop_blob_on_reload(mut self, yes: bool) -> Self {
-        self.drop_blob_on_reload = yes;
         self
     }
 
@@ -165,7 +154,6 @@ mod tests {
         let c = SwapConfig::default();
         assert_eq!(c.clusters_per_swap_cluster, 1);
         assert!(c.collect_after_swap_out);
-        assert!(c.drop_blob_on_reload);
         // The paper-faithful portable text stays the default wire format.
         assert_eq!(c.wire_format, WireFormatKind::Xml);
         // Single-copy placement is the paper's semantics.

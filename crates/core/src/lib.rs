@@ -109,7 +109,7 @@ pub use obiwan_placement::{
 pub use obiwan_trace::{ConformanceReport, EventKind, Trace, TraceMeta, TraceRecord, TraceSink};
 pub use swap_cluster::{SwapClusterEntry, SwapClusterState};
 pub use victim::VictimPolicy;
-pub use wire::{BinaryFormat, Lz, WireFormat, WireFormatKind, XmlFormat};
+pub use wire::WireFormatKind;
 
 /// Convenience result alias used across this crate.
 pub type Result<T> = std::result::Result<T, SwapError>;

@@ -12,8 +12,7 @@
 //!
 //! The materializer is deliberately *pure*: it never touches the heap
 //! while bytes are still being parsed, so a truncated or corrupt blob
-//! rejects with **zero** orphan allocations — exactly the behaviour of
-//! the legacy decode-then-allocate path.
+//! rejects with **zero** orphan allocations.
 
 use crate::wire::{BlobHeader, BlobSink};
 use crate::{codec::BlobField, Result, SwapError};
@@ -118,7 +117,7 @@ impl ClusterMaterializer {
         Ok((id, layout))
     }
 
-    /// The same error the legacy `set_any_field` write produced for a wire
+    /// The error [`obiwan_heap::Heap::set_any_field`] gives for a wire
     /// field index beyond the class layout.
     fn field_index_error(&self, index: usize) -> SwapError {
         let class = self
@@ -150,8 +149,8 @@ impl BlobSink for ClusterMaterializer {
         _field_count: usize,
     ) -> Result<()> {
         let (class_id, layout) = self.class_for(class)?;
-        // Members are sized by the class *layout* (like the legacy alloc
-        // path); wire fields address into it, extras of variadic members
+        // Members are sized by the class *layout* (as `Heap::alloc` sizes
+        // them); wire fields address into it, extras of variadic members
         // are not captured.
         let mut obj = Object::with_field_count(class_id, ObjectKind::App, layout);
         let h = obj.header_mut();

@@ -131,16 +131,16 @@ impl SwappingManager {
     /// Reload swap-cluster `sc` from the device it was swapped to:
     ///
     /// 1. fetch the blob and decode it via its self-describing header
-    ///    ([`wire::decode_blob`] auto-detects XML / binary / LZ, so a room
-    ///    holding mixed-format blobs reloads fine);
+    ///    ([`wire::decode_blob_into`] auto-detects XML / binary / LZ, so a
+    ///    room holding mixed-format blobs reloads fine);
     /// 2. rematerialize the member replicas (identity, class, payloads);
     /// 3. reconnect references: in-cluster refs directly, outbound refs to
     ///    the surviving swap-cluster-proxies held by the replacement-object,
     ///    references to never-replicated objects as fault proxies;
     /// 4. patch every inbound swap-cluster-proxy back from the
     ///    replacement-object to the fresh replicas;
-    /// 5. retire the replacement-object (it becomes garbage) and optionally
-    ///    drop the blob on the storing device.
+    /// 5. retire the replacement-object (it becomes garbage) and drop the
+    ///    blob on the storing device.
     ///
     /// # Errors
     ///
@@ -297,7 +297,7 @@ impl SwappingManager {
         // over the wire bytes (byte payloads sliced zero-copy out of the
         // fetched buffer), no `Blob` IR and no per-field re-accounting. The
         // materializer is pure, so a parse error here leaves the heap
-        // untouched — same as the legacy decode-then-allocate path.
+        // untouched.
         let mut mat = ClusterMaterializer::new(p.universe().registry.clone(), sc);
         let header = wire::decode_blob_into(&data, &mut mat)?;
         if header.swap_cluster != sc {
@@ -347,8 +347,8 @@ impl SwappingManager {
         // Pass 2: resolve the reference fixups, in stream order. The
         // reconnect procedures are idempotent per identity, so memoizing
         // them per distinct oid walks the proxy index once per target
-        // instead of once per referring field, with identical allocation
-        // order to the per-field legacy loop.
+        // instead of once per referring field, with the allocation order
+        // of resolving every field in turn.
         let mut memo_proxy: OidMap<ObjRef> = OidMap::default();
         let mut memo_fault: OidMap<ObjRef> = OidMap::default();
         for f in &fixups {
@@ -417,7 +417,7 @@ impl SwappingManager {
         if p.heap().is_live(replacement) {
             p.heap_mut().get_mut(replacement)?.header_mut().finalize = false;
         }
-        if c.config.drop_blob_on_reload {
+        {
             let mut net = lock_net(&self.net)?;
             for &holder in &prep.holders {
                 let dropped = if prep.allow_relays {
@@ -438,16 +438,8 @@ impl SwappingManager {
                 }
             }
         }
-        // Loaded again: the placement record is retired either way (without
-        // eager drops, the remaining copies become tracked orphans swept at
-        // the next swap-out).
-        if let Some((_, placement)) = shard.placements.remove(sc) {
-            if !c.config.drop_blob_on_reload {
-                for holder in placement.holders {
-                    shard.orphaned_blobs.push((holder, key.clone()));
-                }
-            }
-        }
+        // Loaded again: the placement record is retired.
+        shard.placements.remove(sc);
         self.recorder
             .reload_end(sc, epoch, blob_bytes as u64, tried.len() as u32);
         c.events.push(PolicyEvent::SwappedIn {

@@ -1,36 +1,45 @@
-//! Pluggable wire formats: captured [`Blob`] IR ⇆ bytes on the wire.
+//! Wire formats: captured [`Blob`] IR → bytes on the wire, and bytes of
+//! any format → a streaming [`BlobSink`].
 //!
-//! The capture layer ([`codec`]) produces a validated
-//! [`Blob`]; a [`WireFormat`] turns it into the bytes a dumb storage
-//! device holds. Three formats ship:
+//! The capture layer ([`codec`]) produces a validated [`Blob`];
+//! [`encode_blob`] turns it into the bytes a dumb storage device holds, in
+//! the format a [`WireFormatKind`] names. [`WireFormatKind`] is the one
+//! format table:
 //!
-//! * [`XmlFormat`] — the paper's self-describing XML text, byte-for-byte
-//!   identical to the pre-split encoder. Stays the default: any device
-//!   that can store text can audit what it holds.
-//! * [`BinaryFormat`] — compact length-prefixed binary: varint oids and
-//!   lengths, zigzag ints, raw payload bytes (no hex blowup).
-//! * [`Lz<F>`] — LZ-compresses any inner format's encoding.
+//! * `xml` — the paper's self-describing XML text ([`codec::render_xml`]).
+//!   Stays the default: any device that can store text can audit what it
+//!   holds.
+//! * `binary` — compact length-prefixed binary: varint oids and lengths,
+//!   zigzag ints, raw payload bytes (no hex blowup).
+//! * `lz-binary` — the binary encoding, LZ-compressed behind the frame
+//!   header.
+//!
+//! Decoding has one dispatch: it sniffs the format, inflates LZ bodies and
+//! streams the objects into a [`BlobSink`]. [`decode_blob_into`] feeds the
+//! reload's arena materializer; [`decode_blob`] feeds a sink that builds
+//! the [`Blob`] IR.
 //!
 //! # Self-describing header
 //!
-//! Binary-framed blobs (`BinaryFormat`, `Lz<_>`) start with a 13-byte
-//! header so a reload can pick the right decoder in a mixed-format room
-//! and the auditor can check a stored blob without decoding it:
+//! Binary-framed blobs start with a 13-byte header so a reload can pick
+//! the right decoder in a mixed-format room and the auditor can check a
+//! stored blob without decoding it:
 //!
 //! ```text
 //! offset 0..4   magic  b"OBW1"
-//! offset 4      format id (1 = binary; 0x80 | inner for Lz-wrapped)
+//! offset 4      format id (1 = binary; 0x80 | inner for LZ-wrapped)
 //! offset 5..9   swap-cluster id, u32 LE
 //! offset 9..13  epoch, u32 LE
 //! ```
 //!
 //! XML blobs carry no binary header — they *are* the header (`<swap-cluster
-//! id=… epoch=…>`), which is exactly the paper's portability point. XML is
-//! recognized by its leading `<` (or leading whitespace); [`decode_blob`]
-//! dispatches on that sniff, so stores can hold a mix of formats under the
-//! same three-verb protocol.
+//! id=… epoch=…>`), which is exactly the paper's portability point. A blob
+//! is XML iff it does not start with the magic, so stores can hold a mix
+//! of formats under the same three-verb protocol. The LZ branch is blind
+//! to its inner format: a stored `0x80` (LZ-wrapped XML) frame decodes even
+//! though no kind writes one.
 
-use crate::codec::{self, Blob, BlobField, BlobObject};
+use crate::codec::{self, decode_xml_into, Blob, BlobField, BlobObject};
 use crate::{Result, SwapError};
 use bytes::Bytes;
 use obiwan_heap::{Oid, Value};
@@ -42,40 +51,13 @@ pub const HEADER_LEN: usize = 13;
 /// Format id of the paper's XML text (never appears on the wire — XML
 /// blobs are headerless text).
 pub const XML_FORMAT_ID: u8 = 0;
-/// Format id of [`BinaryFormat`].
+/// Format id of the compact binary encoding.
 pub const BINARY_FORMAT_ID: u8 = 1;
-/// Flag bit marking an [`Lz`]-wrapped format (`0x80 | inner id`).
+/// Flag bit marking an LZ-wrapped format (`0x80 | inner id`).
 pub const LZ_FLAG: u8 = 0x80;
 
-/// A wire format: encode a captured [`Blob`] to bytes and back.
-///
-/// Implementations must be inverse pairs (`decode(encode(b)) == b`) and
-/// reject corrupt or truncated input with [`SwapError::Codec`].
-pub trait WireFormat {
-    /// Stable one-byte format id (recorded in binary frame headers).
-    fn format_id(&self) -> u8;
-
-    /// Human-readable name (`"xml"`, `"binary"`, …) for logs and CLIs.
-    fn name(&self) -> &'static str;
-
-    /// Serialize a blob.
-    ///
-    /// # Errors
-    ///
-    /// [`SwapError::Codec`] / XML writer errors for unencodable IR.
-    fn encode(&self, blob: &Blob) -> Result<Bytes>;
-
-    /// Parse bytes previously produced by [`WireFormat::encode`] on the
-    /// same format.
-    ///
-    /// # Errors
-    ///
-    /// [`SwapError::Codec`] for corrupt, truncated, or foreign-format
-    /// input.
-    fn decode(&self, data: &[u8]) -> Result<Blob>;
-}
-
-/// Which wire format a middleware writes — the `SwapConfig` knob.
+/// Which wire format a middleware writes — the `SwapConfig` knob, and the
+/// crate's one table of format ids and names.
 ///
 /// Decoding always auto-detects ([`decode_blob`]), so mixing formats in
 /// one room is safe; this only selects the encoder for new swap-outs.
@@ -142,45 +124,82 @@ impl std::str::FromStr for WireFormatKind {
 ///
 /// # Errors
 ///
-/// As [`WireFormat::encode`].
+/// XML writer errors, or [`SwapError::Codec`] if the blob holds a null or
+/// raw-reference scalar (a captured blob never does).
 pub fn encode_blob(kind: WireFormatKind, blob: &Blob) -> Result<Bytes> {
-    match kind {
-        WireFormatKind::Xml => XmlFormat.encode(blob),
-        WireFormatKind::Binary => BinaryFormat.encode(blob),
-        WireFormatKind::LzBinary => Lz(BinaryFormat).encode(blob),
-    }
+    Ok(Bytes::from(match kind {
+        WireFormatKind::Xml => codec::render_xml(blob)?.into_bytes(),
+        WireFormatKind::Binary => encode_binary(blob)?,
+        WireFormatKind::LzBinary => {
+            let mut out = frame_header(kind.format_id(), blob);
+            out.extend_from_slice(&obiwan_lz::compress(&encode_binary(blob)?));
+            out
+        }
+    }))
 }
 
-/// Decode a blob of any known format, dispatching on the self-describing
-/// header (binary frame magic) or the XML sniff.
+/// Decode a blob of any known format to the [`Blob`] IR, dispatching on
+/// the self-describing header (binary frame magic) or the XML sniff.
 ///
 /// # Errors
 ///
-/// [`SwapError::Codec`] for unknown formats and any per-format decode
-/// error.
+/// [`SwapError::Codec`] for unknown formats and corrupt, truncated or
+/// inconsistent input.
 pub fn decode_blob(data: &[u8]) -> Result<Blob> {
-    if data.starts_with(&MAGIC) {
-        let header = peek_frame(data)?;
-        match header.format_id {
-            BINARY_FORMAT_ID => BinaryFormat.decode(data),
-            id if id & LZ_FLAG != 0 => {
-                let inner = obiwan_lz::decompress(&data[HEADER_LEN..])
-                    .map_err(|e| SwapError::codec(format!("lz body: {e}")))?;
-                let blob = decode_blob(&inner)?;
-                check_frame_consistency(&header, &blob)?;
-                if blob_format_id(&inner) != id & !LZ_FLAG {
-                    return Err(SwapError::codec(format!(
-                        "lz frame id 0x{id:02x} does not match its inner format"
-                    )));
-                }
-                Ok(blob)
+    let mut builder = BlobBuilder::new();
+    decode_any(data, None, &mut builder)?;
+    Ok(builder.blob)
+}
+
+/// Decode a blob of any known format straight into a [`BlobSink`],
+/// returning the header the body decoded under. This is the reload hot
+/// path: binary frames stream object-by-object with byte payloads sliced
+/// zero-copy out of `data`'s backing buffer, LZ frames decompress once and
+/// stream from the inflated buffer, and XML streams from its parsed
+/// document.
+///
+/// Error parity with [`decode_blob`] is exact for well-formed input and
+/// for the first parse error of corrupt input; a sink may have consumed a
+/// prefix of the objects by the time a later error aborts the decode.
+///
+/// # Errors
+///
+/// [`SwapError::Codec`] as [`decode_blob`], plus whatever the sink hooks
+/// return.
+pub fn decode_blob_into<S: BlobSink + ?Sized>(data: &Bytes, sink: &mut S) -> Result<BlobHeader> {
+    decode_any(data, Some(data), sink)
+}
+
+/// The one decode dispatch. When `backing` is the `Bytes` buffer `data`
+/// points into, binary byte payloads are pushed as zero-copy sub-slices of
+/// it; otherwise they are copied out.
+fn decode_any<S: BlobSink + ?Sized>(
+    data: &[u8],
+    backing: Option<&Bytes>,
+    sink: &mut S,
+) -> Result<BlobHeader> {
+    if !data.starts_with(&MAGIC) {
+        return decode_xml_into(data, sink);
+    }
+    let header = peek_frame(data)?;
+    match header.format_id {
+        BINARY_FORMAT_ID => decode_binary(data, header, backing, sink),
+        id if id & LZ_FLAG != 0 => {
+            let inner = obiwan_lz::decompress(&data[HEADER_LEN..])
+                .map_err(|e| SwapError::codec(format!("lz body: {e}")))?;
+            let inner = Bytes::from(inner);
+            let body = decode_any(&inner, Some(&inner), sink)?;
+            check_frame_values(&header, body.swap_cluster, body.epoch)?;
+            if body.format_id != id & !LZ_FLAG {
+                return Err(SwapError::codec(format!(
+                    "lz frame id 0x{id:02x} does not match its inner format"
+                )));
             }
-            other => Err(SwapError::codec(format!(
-                "unknown blob format id 0x{other:02x}"
-            ))),
+            Ok(header)
         }
-    } else {
-        XmlFormat.decode(data)
+        other => Err(SwapError::codec(format!(
+            "unknown blob format id 0x{other:02x}"
+        ))),
     }
 }
 
@@ -207,32 +226,17 @@ pub struct BlobHeader {
 /// [`SwapError::Codec`] if the bytes are neither a valid binary frame nor
 /// well-formed blob XML.
 pub fn peek_header(data: &[u8]) -> Result<BlobHeader> {
-    if data.starts_with(&MAGIC) {
-        let header = peek_frame(data)?;
-        let id = header.format_id;
-        if id != BINARY_FORMAT_ID && id & LZ_FLAG == 0 {
-            return Err(SwapError::codec(format!(
-                "unknown blob format id 0x{id:02x}"
-            )));
-        }
-        return Ok(header);
+    if !data.starts_with(&MAGIC) {
+        return decode_xml_into(data, &mut BlobBuilder::new());
     }
-    let blob = XmlFormat.decode(data)?;
-    Ok(BlobHeader {
-        format_id: XML_FORMAT_ID,
-        swap_cluster: blob.swap_cluster,
-        epoch: blob.epoch,
-    })
-}
-
-/// The format id `data` would report, without validating the body (0 for
-/// anything headerless, i.e. XML).
-fn blob_format_id(data: &[u8]) -> u8 {
-    if data.starts_with(&MAGIC) && data.len() > 4 {
-        data[4]
-    } else {
-        XML_FORMAT_ID
+    let header = peek_frame(data)?;
+    let id = header.format_id;
+    if id != BINARY_FORMAT_ID && id & LZ_FLAG == 0 {
+        return Err(SwapError::codec(format!(
+            "unknown blob format id 0x{id:02x}"
+        )));
     }
+    Ok(header)
 }
 
 fn peek_frame(data: &[u8]) -> Result<BlobHeader> {
@@ -261,10 +265,6 @@ fn frame_header(format_id: u8, blob: &Blob) -> Vec<u8> {
     out
 }
 
-fn check_frame_consistency(header: &BlobHeader, blob: &Blob) -> Result<()> {
-    check_frame_values(header, blob.swap_cluster, blob.epoch)
-}
-
 fn check_frame_values(header: &BlobHeader, swap_cluster: u32, epoch: u32) -> Result<()> {
     if header.swap_cluster != swap_cluster || header.epoch != epoch {
         return Err(SwapError::codec(format!(
@@ -279,18 +279,21 @@ fn check_frame_values(header: &BlobHeader, swap_cluster: u32, epoch: u32) -> Res
 ///
 /// The decoder pushes the header, then each object and its fields in wire
 /// order; an implementation materializes them however it likes — the
-/// [`Blob`] IR for the legacy path, or detached arena objects for the
+/// [`Blob`] IR for [`decode_blob`], or detached arena objects for the
 /// zero-copy reload path ([`crate::materialize::ClusterMaterializer`]).
 /// Any error returned from a hook aborts the decode.
 pub trait BlobSink {
-    /// The frame header and declared object count, before any object.
+    /// The frame header and a capacity hint for the object count, before
+    /// any object. The hint never exceeds what the input can hold, but a
+    /// corrupt blob may still deliver fewer objects.
     ///
     /// # Errors
     ///
     /// Implementation-defined; aborts the decode.
     fn begin(&mut self, header: &BlobHeader, object_count: usize) -> Result<()>;
 
-    /// Start of the next object. Its fields follow before the next
+    /// Start of the next object, with a capacity hint for its field count
+    /// (bounded like `begin`'s). Its fields follow before the next
     /// `begin_object`.
     ///
     /// # Errors
@@ -312,8 +315,7 @@ pub trait BlobSink {
     fn field(&mut self, index: usize, field: BlobField) -> Result<()>;
 }
 
-/// [`BlobSink`] that rebuilds the [`Blob`] IR — the legacy decode target,
-/// now just one consumer of the streaming parser.
+/// [`BlobSink`] that rebuilds the [`Blob`] IR behind [`decode_blob`].
 #[derive(Debug)]
 struct BlobBuilder {
     blob: Blob,
@@ -366,164 +368,12 @@ impl BlobSink for BlobBuilder {
     }
 }
 
-/// Replay an already-decoded [`Blob`] through a sink (the XML formats have
-/// no streaming parser — the document is parsed to IR first).
-fn replay_blob<S: BlobSink + ?Sized>(format_id: u8, blob: &Blob, sink: &mut S) -> Result<()> {
-    let header = BlobHeader {
-        format_id,
-        swap_cluster: blob.swap_cluster,
-        epoch: blob.epoch,
-    };
-    sink.begin(&header, blob.objects.len())?;
-    for bo in &blob.objects {
-        sink.begin_object(bo.oid, &bo.class, bo.repl_cluster, bo.fields.len())?;
-        for (i, f) in &bo.fields {
-            sink.field(*i, f.clone())?;
-        }
-    }
-    Ok(())
-}
-
-/// The single streaming parser behind every binary decode. When `backing`
-/// is the `Bytes` buffer `data` points into, byte payloads are pushed as
-/// zero-copy sub-slices of it; otherwise they are copied out.
-fn decode_binary_stream<S: BlobSink + ?Sized>(
-    data: &[u8],
-    backing: Option<&Bytes>,
-    sink: &mut S,
-) -> Result<BlobHeader> {
-    let header = peek_frame(data)?;
-    if !data.starts_with(&MAGIC) || header.format_id != BINARY_FORMAT_ID {
-        return Err(SwapError::codec(format!(
-            "not a binary blob frame (format id 0x{:02x})",
-            blob_format_id(data)
-        )));
-    }
-    let mut r = Reader {
-        data,
-        pos: HEADER_LEN,
-    };
-    let count = r.varint().map_err(parse_err)? as usize;
-    sink.begin(&header, count)?;
-    // Swap-clusters are overwhelmingly runs of one class: remember the last
-    // validated class-name bytes so repeat objects skip the UTF-8 check.
-    let mut last_class: Option<(&[u8], &str)> = None;
-    for _ in 0..count {
-        let oid = Oid(r.varint().map_err(parse_err)?);
-        let class_len = r.varint().map_err(parse_err)? as usize;
-        let raw_class = r.take(class_len).map_err(parse_err)?;
-        let class = match last_class {
-            Some((raw, name)) if raw == raw_class => name,
-            _ => {
-                let name = std::str::from_utf8(raw_class)
-                    .map_err(|e| parse_err(ParseErr::ClassUtf8(e)))?;
-                last_class = Some((raw_class, name));
-                name
-            }
-        };
-        let repl_cluster = r.varint_u32("repl cluster").map_err(parse_err)?;
-        let field_count = r.varint().map_err(parse_err)? as usize;
-        sink.begin_object(oid, class, repl_cluster, field_count)?;
-        for _ in 0..field_count {
-            let i = r.varint().map_err(parse_err)? as usize;
-            let field = decode_binary_field(&mut r, backing).map_err(parse_err)?;
-            sink.field(i, field)?;
-        }
-    }
-    if r.pos != data.len() {
-        return Err(SwapError::codec(format!(
-            "{} trailing bytes after the last object",
-            data.len() - r.pos
-        )));
-    }
-    Ok(header)
-}
-
-/// Decode a blob of any known format straight into a [`BlobSink`],
-/// returning the header the body decoded under. This is the reload hot
-/// path: binary frames stream object-by-object with byte payloads sliced
-/// zero-copy out of `data`'s backing buffer, LZ frames decompress once and
-/// stream from the inflated buffer, and XML replays its parsed IR.
-///
-/// Error parity with [`decode_blob`] is exact for well-formed input and
-/// for the first parse error of corrupt input; a sink may have consumed a
-/// prefix of the objects by the time a later error aborts the decode.
-///
-/// # Errors
-///
-/// [`SwapError::Codec`] as [`decode_blob`], plus whatever the sink hooks
-/// return.
-pub fn decode_blob_into<S: BlobSink + ?Sized>(data: &Bytes, sink: &mut S) -> Result<BlobHeader> {
-    if data.starts_with(&MAGIC) {
-        let header = peek_frame(data)?;
-        match header.format_id {
-            BINARY_FORMAT_ID => decode_binary_stream(data, Some(data), sink),
-            id if id & LZ_FLAG != 0 => {
-                let inner = obiwan_lz::decompress(&data[HEADER_LEN..])
-                    .map_err(|e| SwapError::codec(format!("lz body: {e}")))?;
-                let inner_id = blob_format_id(&inner);
-                let inner = Bytes::from(inner);
-                let body = decode_blob_into(&inner, sink)?;
-                check_frame_values(&header, body.swap_cluster, body.epoch)?;
-                if inner_id != id & !LZ_FLAG {
-                    return Err(SwapError::codec(format!(
-                        "lz frame id 0x{id:02x} does not match its inner format"
-                    )));
-                }
-                Ok(BlobHeader {
-                    format_id: id,
-                    ..body
-                })
-            }
-            other => Err(SwapError::codec(format!(
-                "unknown blob format id 0x{other:02x}"
-            ))),
-        }
-    } else {
-        let blob = XmlFormat.decode(data)?;
-        replay_blob(XML_FORMAT_ID, &blob, sink)?;
-        Ok(BlobHeader {
-            format_id: XML_FORMAT_ID,
-            swap_cluster: blob.swap_cluster,
-            epoch: blob.epoch,
-        })
-    }
-}
-
-/// The paper's XML wire format — self-describing text, no binary header.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct XmlFormat;
-
-impl WireFormat for XmlFormat {
-    fn format_id(&self) -> u8 {
-        XML_FORMAT_ID
-    }
-
-    fn name(&self) -> &'static str {
-        "xml"
-    }
-
-    fn encode(&self, blob: &Blob) -> Result<Bytes> {
-        Ok(Bytes::from(codec::render_xml(blob)?))
-    }
-
-    fn decode(&self, data: &[u8]) -> Result<Blob> {
-        let text = std::str::from_utf8(data)
-            .map_err(|e| SwapError::codec(format!("blob is not UTF-8 XML: {e}")))?;
-        codec::decode(text)
-    }
-}
-
-/// Compact length-prefixed binary wire format.
-///
-/// Frame: the 13-byte header, then the body — varint object count, and per
-/// object: varint oid, varint-length class name, varint repl-cluster,
-/// varint field count, then per field a varint layout index and a one-byte
-/// kind tag (0 ref / 1 proxyref / 2 faultref with a varint oid; 3 zigzag
-/// int; 4 LE double; 5 bool; 6 str and 7 bytes, varint-length-prefixed —
-/// payloads travel raw, no hex blowup).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BinaryFormat;
+// The compact binary encoding. Frame: the 13-byte header, then the body —
+// varint object count, and per object: varint oid, varint-length class
+// name, varint repl-cluster, varint field count, then per field a varint
+// layout index and a one-byte kind tag (0 ref / 1 proxyref / 2 faultref
+// with a varint oid; 3 zigzag int; 4 LE double; 5 bool; 6 str and 7 bytes,
+// varint-length-prefixed — payloads travel raw, no hex blowup).
 
 const TAG_MEMBER_REF: u8 = 0;
 const TAG_PROXY_REF: u8 = 1;
@@ -534,37 +384,21 @@ const TAG_BOOL: u8 = 5;
 const TAG_STR: u8 = 6;
 const TAG_BYTES: u8 = 7;
 
-impl WireFormat for BinaryFormat {
-    fn format_id(&self) -> u8 {
-        BINARY_FORMAT_ID
-    }
-
-    fn name(&self) -> &'static str {
-        "binary"
-    }
-
-    fn encode(&self, blob: &Blob) -> Result<Bytes> {
-        let mut out = frame_header(BINARY_FORMAT_ID, blob);
-        put_varint(&mut out, blob.objects.len() as u64);
-        for obj in &blob.objects {
-            put_varint(&mut out, obj.oid.0);
-            put_varint(&mut out, obj.class.len() as u64);
-            out.extend_from_slice(obj.class.as_bytes());
-            put_varint(&mut out, u64::from(obj.repl_cluster));
-            put_varint(&mut out, obj.fields.len() as u64);
-            for (i, f) in &obj.fields {
-                put_varint(&mut out, *i as u64);
-                encode_binary_field(&mut out, *i, f)?;
-            }
+fn encode_binary(blob: &Blob) -> Result<Vec<u8>> {
+    let mut out = frame_header(BINARY_FORMAT_ID, blob);
+    put_varint(&mut out, blob.objects.len() as u64);
+    for obj in &blob.objects {
+        put_varint(&mut out, obj.oid.0);
+        put_varint(&mut out, obj.class.len() as u64);
+        out.extend_from_slice(obj.class.as_bytes());
+        put_varint(&mut out, u64::from(obj.repl_cluster));
+        put_varint(&mut out, obj.fields.len() as u64);
+        for (i, f) in &obj.fields {
+            put_varint(&mut out, *i as u64);
+            encode_binary_field(&mut out, *i, f)?;
         }
-        Ok(Bytes::from(out))
     }
-
-    fn decode(&self, data: &[u8]) -> Result<Blob> {
-        let mut builder = BlobBuilder::new();
-        decode_binary_stream(data, None, &mut builder)?;
-        Ok(builder.blob)
-    }
+    Ok(out)
 }
 
 fn encode_binary_field(out: &mut Vec<u8>, i: usize, f: &BlobField) -> Result<()> {
@@ -613,6 +447,54 @@ fn encode_binary_field(out: &mut Vec<u8>, i: usize, f: &BlobField) -> Result<()>
     Ok(())
 }
 
+/// Stream the body of a binary frame (`header` already read off `data`)
+/// into `sink`.
+fn decode_binary<S: BlobSink + ?Sized>(
+    data: &[u8],
+    header: BlobHeader,
+    backing: Option<&Bytes>,
+    sink: &mut S,
+) -> Result<BlobHeader> {
+    let mut r = Reader {
+        data,
+        pos: HEADER_LEN,
+    };
+    let count = r.varint().map_err(parse_err)?;
+    sink.begin(&header, r.capacity_hint(count))?;
+    // Swap-clusters are overwhelmingly runs of one class: remember the last
+    // validated class-name bytes so repeat objects skip the UTF-8 check.
+    let mut last_class: Option<(&[u8], &str)> = None;
+    for _ in 0..count {
+        let oid = Oid(r.varint().map_err(parse_err)?);
+        let class_len = r.varint().map_err(parse_err)? as usize;
+        let raw_class = r.take(class_len).map_err(parse_err)?;
+        let class = match last_class {
+            Some((raw, name)) if raw == raw_class => name,
+            _ => {
+                let name = std::str::from_utf8(raw_class)
+                    .map_err(|e| parse_err(ParseErr::ClassUtf8(e)))?;
+                last_class = Some((raw_class, name));
+                name
+            }
+        };
+        let repl_cluster = r.varint_u32("repl cluster").map_err(parse_err)?;
+        let field_count = r.varint().map_err(parse_err)?;
+        sink.begin_object(oid, class, repl_cluster, r.capacity_hint(field_count))?;
+        for _ in 0..field_count {
+            let i = r.varint().map_err(parse_err)? as usize;
+            let field = decode_binary_field(&mut r, backing).map_err(parse_err)?;
+            sink.field(i, field)?;
+        }
+    }
+    if r.pos != data.len() {
+        return Err(SwapError::codec(format!(
+            "{} trailing bytes after the last object",
+            data.len() - r.pos
+        )));
+    }
+    Ok(header)
+}
+
 #[inline(always)]
 fn decode_binary_field(
     r: &mut Reader<'_>,
@@ -654,45 +536,6 @@ fn decode_binary_field(
         }
         other => return Err(ParseErr::UnknownTag(other)),
     })
-}
-
-/// Wrap any wire format in LZ compression. The frame header stays
-/// uncompressed (so [`peek_header`] works without inflating); the body is
-/// the LZ stream of the inner format's full encoding.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Lz<F>(pub F);
-
-impl<F: WireFormat> WireFormat for Lz<F> {
-    fn format_id(&self) -> u8 {
-        LZ_FLAG | self.0.format_id()
-    }
-
-    fn name(&self) -> &'static str {
-        "lz"
-    }
-
-    fn encode(&self, blob: &Blob) -> Result<Bytes> {
-        let inner = self.0.encode(blob)?;
-        let mut out = frame_header(self.format_id(), blob);
-        out.extend_from_slice(&obiwan_lz::compress(&inner));
-        Ok(Bytes::from(out))
-    }
-
-    fn decode(&self, data: &[u8]) -> Result<Blob> {
-        let header = peek_frame(data)?;
-        if !data.starts_with(&MAGIC) || header.format_id != self.format_id() {
-            return Err(SwapError::codec(format!(
-                "not an lz({}) blob frame (format id 0x{:02x})",
-                self.0.name(),
-                blob_format_id(data)
-            )));
-        }
-        let inner = obiwan_lz::decompress(&data[HEADER_LEN..])
-            .map_err(|e| SwapError::codec(format!("lz body: {e}")))?;
-        let blob = self.0.decode(&inner)?;
-        check_frame_consistency(&header, &blob)?;
-        Ok(blob)
-    }
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -817,6 +660,15 @@ impl<'a> Reader<'a> {
         let v = self.varint()?;
         u32::try_from(v).map_err(|_| ParseErr::U32Overflow { what, v })
     }
+
+    /// A sink capacity hint for a declared item `count`, capped by the
+    /// bytes left: every counted item takes at least one, so a hostile
+    /// count cannot make a sink reserve more than the input could hold.
+    fn capacity_hint(&self, count: u64) -> usize {
+        usize::try_from(count)
+            .unwrap_or(usize::MAX)
+            .min(self.data.len() - self.pos)
+    }
 }
 
 #[cfg(test)]
@@ -858,18 +710,25 @@ mod tests {
         }
     }
 
+    /// A `0x80` frame: LZ-wrapped XML, which no kind writes but a store
+    /// may still hold.
+    fn lz_xml_frame(blob: &Blob) -> Vec<u8> {
+        let mut out = frame_header(LZ_FLAG, blob);
+        out.extend_from_slice(&obiwan_lz::compress(
+            codec::render_xml(blob).unwrap().as_bytes(),
+        ));
+        out
+    }
+
     #[test]
     fn every_format_roundtrips_the_sample() {
         let blob = sample_blob();
-        for (data, id) in [
-            (XmlFormat.encode(&blob).unwrap(), XML_FORMAT_ID),
-            (BinaryFormat.encode(&blob).unwrap(), BINARY_FORMAT_ID),
-            (
-                Lz(BinaryFormat).encode(&blob).unwrap(),
-                LZ_FLAG | BINARY_FORMAT_ID,
-            ),
-            (Lz(XmlFormat).encode(&blob).unwrap(), LZ_FLAG),
-        ] {
+        let mut frames: Vec<(Vec<u8>, u8)> = WireFormatKind::ALL
+            .iter()
+            .map(|&k| (encode_blob(k, &blob).unwrap().to_vec(), k.format_id()))
+            .collect();
+        frames.push((lz_xml_frame(&blob), LZ_FLAG));
+        for (data, id) in frames {
             assert_eq!(decode_blob(&data).unwrap(), blob, "format 0x{id:02x}");
             let header = peek_header(&data).unwrap();
             assert_eq!(header.format_id, id);
@@ -881,29 +740,53 @@ mod tests {
     #[test]
     fn binary_is_smaller_than_xml() {
         let blob = sample_blob();
-        let xml = XmlFormat.encode(&blob).unwrap();
-        let bin = BinaryFormat.encode(&blob).unwrap();
+        let xml = encode_blob(WireFormatKind::Xml, &blob).unwrap();
+        let bin = encode_blob(WireFormatKind::Binary, &blob).unwrap();
         assert!(bin.len() < xml.len(), "{} vs {}", bin.len(), xml.len());
     }
 
     #[test]
-    fn formats_reject_foreign_frames() {
+    fn lz_frame_must_name_its_inner_format() {
+        // A `0x80` (LZ-wrapped XML) header over an LZ-compressed *binary*
+        // body decodes the body fine but must still be rejected.
         let blob = sample_blob();
-        let bin = BinaryFormat.encode(&blob).unwrap();
-        let lz = Lz(BinaryFormat).encode(&blob).unwrap();
-        assert!(BinaryFormat.decode(&lz).is_err());
-        assert!(Lz(BinaryFormat).decode(&bin).is_err());
-        assert!(Lz(XmlFormat).decode(&lz).is_err());
-        assert!(XmlFormat.decode(&bin).is_err());
+        let mut data = frame_header(LZ_FLAG, &blob);
+        data.extend_from_slice(&obiwan_lz::compress(&encode_binary(&blob).unwrap()));
+        assert!(decode_blob(&data).is_err());
+        let mut sink = BlobBuilder::new();
+        assert!(decode_blob_into(&Bytes::from(data), &mut sink).is_err());
+    }
+
+    #[test]
+    fn hostile_object_and_field_counts_are_rejected_without_reserving() {
+        use crate::materialize::ClusterMaterializer;
+        let blob = sample_blob();
+        let valid = encode_blob(WireFormatKind::Binary, &blob).unwrap();
+        // The sample's object count is a one-byte varint right after the
+        // header; the first object's field count is the fourth varint of
+        // its record (oid, class length + name, repl cluster).
+        let field_count_at = HEADER_LEN + 1 + 1 + 1 + "Node".len() + 1;
+        assert_eq!(valid[field_count_at], 4);
+        for count in [1u64 << 36, 1u64 << 60] {
+            for at in [HEADER_LEN, field_count_at] {
+                let mut data = valid[..at].to_vec();
+                put_varint(&mut data, count);
+                data.extend_from_slice(&valid[at + 1..]);
+                assert!(decode_blob(&data).is_err(), "count {count} at {at}");
+                let mut mat = ClusterMaterializer::new(obiwan_heap::ClassRegistry::new(), 7);
+                assert!(
+                    decode_blob_into(&Bytes::from(data), &mut mat).is_err(),
+                    "count {count} at {at}"
+                );
+            }
+        }
     }
 
     #[test]
     fn truncated_and_corrupt_frames_are_rejected() {
         let blob = sample_blob();
-        for data in [
-            BinaryFormat.encode(&blob).unwrap(),
-            Lz(BinaryFormat).encode(&blob).unwrap(),
-        ] {
+        for kind in [WireFormatKind::Binary, WireFormatKind::LzBinary] {
+            let data = encode_blob(kind, &blob).unwrap();
             for cut in [1, 4, HEADER_LEN - 1, HEADER_LEN + 2, data.len() - 1] {
                 assert!(
                     decode_blob(&data[..cut]).is_err(),
@@ -913,12 +796,12 @@ mod tests {
             }
         }
         // Unknown format id.
-        let mut bad = BinaryFormat.encode(&blob).unwrap().to_vec();
+        let mut bad = encode_blob(WireFormatKind::Binary, &blob).unwrap().to_vec();
         bad[4] = 0x7e;
         assert!(decode_blob(&bad).is_err());
         assert!(peek_header(&bad).is_err());
         // Trailing garbage after a valid binary body.
-        let mut long = BinaryFormat.encode(&blob).unwrap().to_vec();
+        let mut long = encode_blob(WireFormatKind::Binary, &blob).unwrap().to_vec();
         long.push(0);
         assert!(decode_blob(&long).is_err());
         // Garbage that is neither a frame nor XML.
@@ -940,22 +823,5 @@ mod tests {
         }
         assert!("gzip".parse::<WireFormatKind>().is_err());
         assert_eq!(WireFormatKind::default(), WireFormatKind::Xml);
-    }
-
-    #[test]
-    fn encode_blob_matches_the_kind_table() {
-        let blob = sample_blob();
-        assert_eq!(
-            encode_blob(WireFormatKind::Xml, &blob).unwrap(),
-            XmlFormat.encode(&blob).unwrap()
-        );
-        assert_eq!(
-            encode_blob(WireFormatKind::Binary, &blob).unwrap(),
-            BinaryFormat.encode(&blob).unwrap()
-        );
-        assert_eq!(
-            encode_blob(WireFormatKind::LzBinary, &blob).unwrap(),
-            Lz(BinaryFormat).encode(&blob).unwrap()
-        );
     }
 }

@@ -4,7 +4,8 @@
 
 #![allow(clippy::disallowed_methods)] // tests may panic on impossible states
 
-use obiwan_core::codec::{decode, Blob, BlobField, BlobObject};
+use obiwan_core::codec::{Blob, BlobField, BlobObject};
+use obiwan_core::wire::{decode_blob, encode_blob, WireFormatKind};
 use obiwan_heap::{Oid, Value};
 use obiwan_xml::{Element, Writer};
 use proptest::prelude::*;
@@ -181,17 +182,16 @@ proptest! {
     #[test]
     fn structured_blobs_roundtrip_through_xml(blob in arb_blob()) {
         let xml = render(&blob);
-        let back = decode(&xml).expect("well-formed by construction");
+        let back = decode_blob(xml.as_bytes()).expect("well-formed by construction");
         prop_assert_eq!(back, blob);
     }
 
     #[test]
     fn wire_xml_format_is_byte_identical_to_the_reference_renderer(blob in arb_blob()) {
-        // The WireFormat refactor must not change a single byte of the XML
-        // text: blobs already stored on devices stay decodable, and the
-        // paper's portability argument keeps holding verbatim.
-        use obiwan_core::{WireFormat, XmlFormat};
-        let ours = XmlFormat.encode(&blob).expect("encode");
+        // The wire encoder must not change a single byte of the XML text:
+        // blobs already stored on devices stay decodable, and the paper's
+        // portability argument keeps holding verbatim.
+        let ours = encode_blob(WireFormatKind::Xml, &blob).expect("encode");
         let reference = render(&blob);
         prop_assert_eq!(&ours[..], reference.as_bytes());
     }
@@ -202,8 +202,8 @@ proptest! {
         // A storage device may re-serialize the text with its own XML
         // stack; decode must not care.
         let reformatted = Element::parse(&xml).expect("parse").to_xml();
-        let a = decode(&xml).expect("original");
-        let b = decode(&reformatted).expect("reformatted");
+        let a = decode_blob(xml.as_bytes()).expect("original");
+        let b = decode_blob(reformatted.as_bytes()).expect("reformatted");
         prop_assert_eq!(a, b);
     }
 }

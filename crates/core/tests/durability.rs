@@ -213,7 +213,7 @@ fn orphan_sweep_waits_for_a_departed_holder_and_retires_a_vanished_copy() {
 
 #[test]
 fn reload_and_gc_drop_every_copy() {
-    // Reload path: drop_blob_on_reload fans out to both holders.
+    // Reload path: the reload drop fans out to both holders.
     let (mut mw, root, devices) = k_world(2, 2, false);
     mw.swap_out(2).unwrap();
     mw.swap_in(2).unwrap();

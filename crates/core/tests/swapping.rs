@@ -534,7 +534,8 @@ fn swapped_blob_is_valid_xml_on_the_wire() {
             .unwrap()
     };
     let text = std::str::from_utf8(&xml).unwrap();
-    let blob = obiwan_core::codec::decode(text).unwrap();
+    assert!(text.starts_with("<?xml"), "{text}");
+    let blob = obiwan_core::wire::decode_blob(&xml).unwrap();
     assert_eq!(blob.swap_cluster, 1);
     assert_eq!(blob.objects.len(), 10);
     assert!(blob.objects.iter().all(|o| o.class == "Node"));

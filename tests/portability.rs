@@ -81,7 +81,7 @@ fn blob_roundtrips_through_foreign_xml_tooling() {
     // still decodes identically.
     let reparsed = obiwan::xml::Element::parse(&xml).expect("parse");
     let reprinted = reparsed.to_xml();
-    let a = obiwan::core::codec::decode(&xml).expect("decode original");
-    let b = obiwan::core::codec::decode(&reprinted).expect("decode reprinted");
+    let a = obiwan::core::wire::decode_blob(xml.as_bytes()).expect("decode original");
+    let b = obiwan::core::wire::decode_blob(reprinted.as_bytes()).expect("decode reprinted");
     assert_eq!(a, b);
 }
