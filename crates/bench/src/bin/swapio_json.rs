@@ -4,9 +4,10 @@
 //! cargo run --release -p obiwan-bench --bin swapio_json > BENCH_swapio.json
 //! ```
 //!
-//! Doubles as the CI decode gate: exits nonzero when the binary reload
-//! decode (straight into arena objects) exceeds 2× the binary encode at
-//! the 100-object cluster size — see [`swapio::check_decode_gate`].
+//! Doubles as the CI decode gate: exits nonzero when, at the 100-object
+//! cluster size, the binary reload decode (straight into arena objects)
+//! exceeds 2× the binary encode, or the XML reload decode exceeds 15× the
+//! binary reload decode — see [`swapio::check_decode_gate`].
 
 use obiwan_bench::swapio;
 

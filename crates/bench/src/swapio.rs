@@ -224,27 +224,46 @@ pub fn render_formats(points: &[WireFormatPoint]) -> String {
     out
 }
 
-/// The CI gate the arena decode path is held to: the binary reload decode
-/// (wire → materialized arena objects) must land within `2×` of the binary
-/// swap-out encode (heap capture → wire) at the 100-object cluster size —
-/// the paper's coarse-granularity end, where per-object overheads
-/// dominate. The seed measured the reload direction at `7.5×` the
-/// swap-out direction; the arena materializer is what holds it under `2×`.
+/// The CI gate the arena decode path is held to, at the 100-object cluster
+/// size — the paper's coarse-granularity end, where per-object overheads
+/// dominate. Two legs:
+///
+/// * binary: the reload decode (wire → materialized arena objects) must
+///   land within `2×` of the swap-out encode (heap capture → wire). The
+///   seed measured `7.5×`; the arena materializer is what holds it under
+///   `2×`.
+/// * XML: the reload decode must land within `15×` of the binary reload
+///   decode. The DOM decoder measured about `39×`; the pull decoder is
+///   what holds it under `15×` (the XML text is about `7×` the bytes).
 ///
 /// # Errors
 ///
-/// The gate point is missing from the sweep, or the ratio is exceeded.
+/// A gate point is missing from the sweep, or a ratio is exceeded.
 pub fn check_decode_gate(points: &[WireFormatPoint]) -> Result<()> {
-    let p = points
-        .iter()
-        .find(|p| p.format == "binary" && p.cluster_size == 100)
-        .ok_or_else(|| BenchError::msg("gate point (binary, 100 objects) missing from sweep"))?;
-    let encode_us = p.encode.as_secs_f64() * 1e6;
-    let decode_us = p.decode.as_secs_f64() * 1e6;
+    let point = |format: &str| {
+        points
+            .iter()
+            .find(|p| p.format == format && p.cluster_size == 100)
+            .ok_or_else(|| {
+                BenchError::msg(format!(
+                    "gate point ({format}, 100 objects) missing from sweep"
+                ))
+            })
+    };
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    let binary = point("binary")?;
+    let (encode_us, decode_us) = (us(binary.encode), us(binary.decode));
     if decode_us > 2.0 * encode_us {
         return Err(BenchError::msg(format!(
             "binary decode {decode_us:.2}µs exceeds 2× encode {encode_us:.2}µs at 100 objects \
              — the zero-copy reload contract regressed"
+        )));
+    }
+    let xml_us = us(point("xml")?.decode);
+    if xml_us > 15.0 * decode_us {
+        return Err(BenchError::msg(format!(
+            "xml decode {xml_us:.2}µs exceeds 15× binary decode {decode_us:.2}µs at 100 \
+             objects — the streaming XML reload regressed"
         )));
     }
     Ok(())
@@ -439,6 +458,26 @@ mod tests {
             }
         }
         panic!("decode gate failed in all 3 sweeps: {}", last.unwrap());
+    }
+
+    #[test]
+    fn xml_decode_gate_is_15x_binary_decode() {
+        let point = |format: &str, encode_us: u64, decode_us: u64| WireFormatPoint {
+            format: format.into(),
+            cluster_size: 100,
+            bytes_on_wire: 0,
+            encode: Duration::from_micros(encode_us),
+            decode: Duration::from_micros(decode_us),
+            decode_ir: Duration::ZERO,
+        };
+        let sweep = |xml_decode_us| [point("binary", 10, 6), point("xml", 80, xml_decode_us)];
+        assert!(check_decode_gate(&sweep(90)).is_ok());
+        let err = check_decode_gate(&sweep(91)).unwrap_err().to_string();
+        assert!(err.contains("15× binary decode"), "{err}");
+        assert!(
+            check_decode_gate(&sweep(90)[..1]).is_err(),
+            "xml point required"
+        );
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! * [`capture`] walks the heap graph and produces a pure [`Blob`] IR.
 //!   Every invariant check lives here — in particular the rule that any
 //!   cross-swap-cluster reference must be mediated by a proxy.
-//! * [`render_xml`] writes a [`Blob`] as XML text, and `decode_xml_into`
-//!   streams XML text back into a [`BlobSink`]. The format table and the
-//!   decode dispatch over every format live in [`wire`](crate::wire).
+//! * [`render_xml`] writes a [`Blob`] as XML text straight into one
+//!   buffer, and `decode_xml_into` pulls borrowed events off
+//!   [`obiwan_xml::Reader`] into a [`BlobSink`] — no DOM on either hot
+//!   path. The format table and the decode dispatch over every format
+//!   live in [`wire`](crate::wire).
 //!
 //! The portability argument of the paper rests on the XML artifact: a
 //! swapped-out cluster travels as self-describing XML text, so the storing
@@ -40,8 +42,11 @@ use crate::{Result, SwapError};
 use bytes::Bytes;
 use obiwan_heap::{ObjRef, ObjectKind, Oid, Value};
 use obiwan_replication::Process;
-use obiwan_xml::{Element, Writer};
+use obiwan_xml::{escape_into, RawEvent, Reader};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write;
+use std::ops::Range;
 
 /// A decoded field of a blob object.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,80 +153,89 @@ fn capture_field(
     }
 }
 
-/// Render a captured [`Blob`] as the paper's pretty-printed XML dialect.
+/// Render a captured [`Blob`] as the paper's pretty-printed XML dialect,
+/// straight into one pre-sized buffer: numbers through `write!`, text
+/// escaped in place, payloads hex-encoded from a table. The bytes are
+/// exactly what [`obiwan_xml::Writer`] prints for the same document:
+/// prolog, blank line, two-space indent, self-closing empty elements and a
+/// trailing newline.
 ///
 /// # Errors
 ///
-/// XML writer errors, or [`SwapError::Codec`] if the blob contains a null
+/// [`SwapError::Codec`] if the blob contains a null or raw-reference
 /// scalar (null fields are represented by omission; a captured blob never
 /// holds one).
 pub fn render_xml(blob: &Blob) -> Result<String> {
-    let mut w = Writer::new();
-    w.begin("swap-cluster")?
-        .attr("id", blob.swap_cluster.to_string())?
-        .attr("epoch", blob.epoch.to_string())?
-        .attr("count", blob.objects.len().to_string())?;
-    for obj in &blob.objects {
-        w.begin("object")?
-            .attr("oid", obj.oid.0.to_string())?
-            .attr("class", &obj.class)?
-            .attr("repl", obj.repl_cluster.to_string())?;
-        for (i, f) in &obj.fields {
-            render_field(&mut w, *i, f)?;
-        }
-        w.end()?;
+    let mut out = String::with_capacity(rendered_len_hint(blob));
+    // `fmt::Write` into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\n<swap-cluster id=\"{}\" epoch=\"{}\" count=\"{}\"",
+        blob.swap_cluster,
+        blob.epoch,
+        blob.objects.len()
+    );
+    if blob.objects.is_empty() {
+        out.push_str("/>\n");
+        return Ok(out);
     }
-    w.end()?;
-    Ok(w.finish()?)
+    out.push('>');
+    for obj in &blob.objects {
+        let _ = write!(out, "\n  <object oid=\"{}\" class=\"", obj.oid.0);
+        escape_into(&mut out, &obj.class);
+        let _ = write!(out, "\" repl=\"{}\"", obj.repl_cluster);
+        if obj.fields.is_empty() {
+            out.push_str("/>");
+            continue;
+        }
+        out.push('>');
+        for (i, f) in &obj.fields {
+            render_field(&mut out, *i, f)?;
+        }
+        out.push_str("\n  </object>");
+    }
+    out.push_str("\n</swap-cluster>\n");
+    Ok(out)
 }
 
-fn render_field(w: &mut Writer, i: usize, f: &BlobField) -> Result<()> {
-    let render_ref = |w: &mut Writer, kind: &str, oid: Oid| -> Result<()> {
-        w.begin("field")?
-            .attr("i", i.to_string())?
-            .attr("kind", kind)?
-            .attr("oid", oid.0.to_string())?;
-        w.end()?;
-        Ok(())
+/// Bytes [`render_xml`] writes for `blob`, give or take escapes.
+fn rendered_len_hint(blob: &Blob) -> usize {
+    let fields = |obj: &BlobObject| -> usize {
+        obj.fields
+            .iter()
+            .map(|(_, f)| match f {
+                BlobField::Scalar(Value::Str(s)) => 48 + s.len(),
+                BlobField::Scalar(Value::Bytes(b)) => 48 + 2 * b.len(),
+                _ => 64,
+            })
+            .sum()
     };
-    match f {
-        BlobField::MemberRef(oid) => render_ref(w, "ref", *oid)?,
-        BlobField::ProxyRef(oid) => render_ref(w, "proxyref", *oid)?,
-        BlobField::FaultRef(oid) => render_ref(w, "faultref", *oid)?,
-        BlobField::Scalar(Value::Int(x)) => {
-            w.begin("field")?
-                .attr("i", i.to_string())?
-                .attr("kind", "int")?
-                .attr("v", x.to_string())?;
-            w.end()?;
-        }
-        BlobField::Scalar(Value::Double(x)) => {
-            w.begin("field")?
-                .attr("i", i.to_string())?
-                .attr("kind", "double")?
-                .attr("v", format!("{x:?}"))?;
-            w.end()?;
-        }
-        BlobField::Scalar(Value::Bool(x)) => {
-            w.begin("field")?
-                .attr("i", i.to_string())?
-                .attr("kind", "bool")?
-                .attr("v", x.to_string())?;
-            w.end()?;
-        }
+    let objects: usize = blob
+        .objects
+        .iter()
+        .map(|obj| 80 + obj.class.len() + fields(obj))
+        .sum();
+    128 + objects
+}
+
+fn render_field(out: &mut String, i: usize, f: &BlobField) -> Result<()> {
+    let _ = write!(out, "\n    <field i=\"{i}\" kind=\"");
+    let _ = match f {
+        BlobField::MemberRef(oid) => write!(out, "ref\" oid=\"{}\"/>", oid.0),
+        BlobField::ProxyRef(oid) => write!(out, "proxyref\" oid=\"{}\"/>", oid.0),
+        BlobField::FaultRef(oid) => write!(out, "faultref\" oid=\"{}\"/>", oid.0),
+        BlobField::Scalar(Value::Int(x)) => write!(out, "int\" v=\"{x}\"/>"),
+        BlobField::Scalar(Value::Double(x)) => write!(out, "double\" v=\"{x:?}\"/>"),
+        BlobField::Scalar(Value::Bool(x)) => write!(out, "bool\" v=\"{x}\"/>"),
         BlobField::Scalar(Value::Str(s)) => {
-            w.begin("field")?
-                .attr("i", i.to_string())?
-                .attr("kind", "str")?;
-            w.text(s)?;
-            w.end()?;
+            out.push_str("str\">");
+            escape_into(out, s);
+            out.write_str("</field>")
         }
         BlobField::Scalar(Value::Bytes(b)) => {
-            w.begin("field")?
-                .attr("i", i.to_string())?
-                .attr("kind", "bytes")?;
-            w.text(&hex_encode(b))?;
-            w.end()?;
+            out.push_str("bytes\">");
+            hex_encode_into(out, b);
+            out.write_str("</field>")
         }
         BlobField::Scalar(Value::Null | Value::Ref(_)) => {
             return Err(SwapError::codec(format!(
@@ -229,44 +243,56 @@ fn render_field(w: &mut Writer, i: usize, f: &BlobField) -> Result<()> {
                  never produces one"
             )));
         }
-    }
+    };
     Ok(())
 }
 
-/// Stream blob XML into `sink` in document order: `begin`, then per
-/// `<object>` a `begin_object` and its fields. Parse errors surface in
-/// document order; a `count` attribute that disagrees with the objects
-/// present is reported last. The capacity hints are the element counts
-/// the parse found, never the `count` attribute.
+/// Stream blob XML into `sink`: a pull decoder over borrowed
+/// [`RawEvent`]s. It accepts exactly the documents that
+/// [`obiwan_xml::Element::parse`] and a walk of the resulting tree accept:
+/// unknown elements are skipped at every level, text outside a `<field>`
+/// is ignored, a field's value is the concatenation of its direct text,
+/// and the first attribute of a name wins.
+///
+/// Numbers and oids parse from borrowed slices, and every hex payload of
+/// the blob decodes into one buffer whose zero-copy slices the sink
+/// receives. The vendored `Bytes` is immutable, so that buffer is complete
+/// only once the document is: the decoder records the blob as a flat,
+/// borrowed [`Step`] log while it parses, then replays the log into the
+/// sink. So every parse error surfaces before the sink sees anything, and
+/// a `count` attribute that disagrees with the objects present is reported
+/// last. `begin`'s capacity hint is the number of objects found.
 pub(crate) fn decode_xml_into<S: BlobSink + ?Sized>(
     data: &[u8],
     sink: &mut S,
 ) -> Result<BlobHeader> {
     let text = std::str::from_utf8(data)
         .map_err(|e| SwapError::codec(format!("blob is not UTF-8 XML: {e}")))?;
-    let root = Element::parse(text)?;
-    if root.name() != "swap-cluster" {
-        return Err(SwapError::codec(format!(
-            "expected <swap-cluster>, found <{}>",
-            root.name()
-        )));
-    }
-    let header = BlobHeader {
-        format_id: XML_FORMAT_ID,
-        swap_cluster: root.parse_attr("id")?,
-        epoch: root.parse_attr("epoch")?,
+    let mut d = XmlDecoder {
+        reader: Reader::new(text),
+        steps: Vec::new(),
+        // Two hex digits per payload byte: the text bounds the payloads.
+        payloads: Vec::with_capacity(text.len() / 2),
     };
-    let count: usize = root.parse_attr("count")?;
-    let found = root.children_named("object").count();
+    let (header, count) = d.root()?;
+    // At least one step per counted object, as far as the text can hold.
+    let left = text.len() - d.reader.position();
+    d.steps.reserve(count.min(left / MIN_STEP_LEN));
+    let found = d.body()?;
+    let payloads = Bytes::from(d.payloads);
     sink.begin(&header, found)?;
-    for el in root.children_named("object") {
-        let oid = Oid(el.parse_attr("oid")?);
-        let class = el.require_attr("class")?;
-        let repl_cluster: u32 = el.parse_attr("repl")?;
-        sink.begin_object(oid, class, repl_cluster, el.children_named("field").count())?;
-        for f in el.children_named("field") {
-            let (i, field) = decode_field(f)?;
-            sink.field(i, field)?;
+    for step in d.steps {
+        match step {
+            Step::Object {
+                oid,
+                class,
+                repl_cluster,
+                fields,
+            } => sink.begin_object(oid, &class, repl_cluster, fields)?,
+            Step::Field(i, field) => sink.field(i, field)?,
+            Step::Payload(i, range) => {
+                sink.field(i, BlobField::Scalar(Value::Bytes(payloads.slice(range))))?
+            }
         }
     }
     if found != count {
@@ -277,43 +303,257 @@ pub(crate) fn decode_xml_into<S: BlobSink + ?Sized>(
     Ok(header)
 }
 
-fn decode_field(el: &Element) -> Result<(usize, BlobField)> {
-    let i: usize = el.parse_attr("i")?;
-    let kind = el.require_attr("kind")?;
-    let field = match kind {
-        "ref" => BlobField::MemberRef(Oid(el.parse_attr("oid")?)),
-        "proxyref" => BlobField::ProxyRef(Oid(el.parse_attr("oid")?)),
-        "faultref" => BlobField::FaultRef(Oid(el.parse_attr("oid")?)),
-        "int" => BlobField::Scalar(Value::Int(el.parse_attr("v")?)),
-        "double" => BlobField::Scalar(Value::Double(el.parse_attr("v")?)),
-        "bool" => BlobField::Scalar(Value::Bool(el.parse_attr("v")?)),
-        "str" => BlobField::Scalar(Value::from(el.text())),
-        "bytes" => BlobField::Scalar(Value::Bytes(hex_decode(el.text())?)),
-        other => return Err(SwapError::codec(format!("unknown field kind `{other}`"))),
-    };
-    Ok((i, field))
+/// One sink call recorded by [`XmlDecoder`], replayed once the document
+/// has parsed.
+enum Step<'a> {
+    Object {
+        oid: Oid,
+        class: Cow<'a, str>,
+        repl_cluster: u32,
+        fields: usize,
+    },
+    Field(usize, BlobField),
+    /// A `bytes` field, as a range of the blob's payload buffer.
+    Payload(usize, Range<usize>),
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+struct XmlDecoder<'a> {
+    reader: Reader<'a>,
+    steps: Vec<Step<'a>>,
+    payloads: Vec<u8>,
+}
+
+impl<'a> XmlDecoder<'a> {
+    /// The `<swap-cluster>` start tag: the header and the declared count.
+    fn root(&mut self) -> Result<(BlobHeader, usize)> {
+        let name = match self.reader.next_raw()? {
+            RawEvent::Start { name, .. } => name,
+            RawEvent::Eof => {
+                return Err(
+                    obiwan_xml::Error::structure("document contains no root element").into(),
+                )
+            }
+            other => {
+                return Err(obiwan_xml::Error::structure(format!(
+                    "expected root element, found {other:?}"
+                ))
+                .into())
+            }
+        };
+        if name != "swap-cluster" {
+            return Err(SwapError::codec(format!(
+                "expected <swap-cluster>, found <{name}>"
+            )));
+        }
+        let header = BlobHeader {
+            format_id: XML_FORMAT_ID,
+            swap_cluster: self.parse_attr(name, "id")?,
+            epoch: self.parse_attr(name, "epoch")?,
+        };
+        let count = self.parse_attr(name, "count")?;
+        Ok((header, count))
     }
-    out
+
+    /// The root's content up to the end of the document; returns the
+    /// number of objects.
+    fn body(&mut self) -> Result<usize> {
+        let mut found = 0;
+        loop {
+            match self.reader.next_raw()? {
+                RawEvent::Start { name: "object", .. } => {
+                    self.object()?;
+                    found += 1;
+                }
+                RawEvent::Start { .. } => self.skip_element()?,
+                RawEvent::Text(_) => {}
+                RawEvent::End { .. } => break,
+                RawEvent::Eof => return Err(unclosed()),
+            }
+        }
+        match self.reader.next_raw()? {
+            RawEvent::Eof => Ok(found),
+            other => Err(obiwan_xml::Error::structure(format!(
+                "trailing content after root element: {other:?}"
+            ))
+            .into()),
+        }
+    }
+
+    /// An `<object>` whose start tag was just read, through its end tag.
+    fn object(&mut self) -> Result<()> {
+        let oid = Oid(self.parse_attr("object", "oid")?);
+        let class = Cow::clone(self.attr("object", "class")?);
+        let repl_cluster = self.parse_attr("object", "repl")?;
+        let at = self.steps.len();
+        self.steps.push(Step::Object {
+            oid,
+            class,
+            repl_cluster,
+            fields: 0,
+        });
+        let mut fields = 0;
+        loop {
+            match self.reader.next_raw()? {
+                RawEvent::Start { name: "field", .. } => {
+                    self.field()?;
+                    fields += 1;
+                }
+                RawEvent::Start { .. } => self.skip_element()?,
+                RawEvent::Text(_) => {}
+                RawEvent::End { .. } => break,
+                RawEvent::Eof => return Err(unclosed()),
+            }
+        }
+        if let Some(Step::Object { fields: n, .. }) = self.steps.get_mut(at) {
+            *n = fields;
+        }
+        Ok(())
+    }
+
+    /// A `<field>` whose start tag was just read, through its end tag.
+    fn field(&mut self) -> Result<()> {
+        let i: usize = self.parse_attr("field", "i")?;
+        let field = match self.attr("field", "kind")?.as_ref() {
+            "ref" => BlobField::MemberRef(Oid(self.parse_attr("field", "oid")?)),
+            "proxyref" => BlobField::ProxyRef(Oid(self.parse_attr("field", "oid")?)),
+            "faultref" => BlobField::FaultRef(Oid(self.parse_attr("field", "oid")?)),
+            "int" => BlobField::Scalar(Value::Int(self.parse_attr("field", "v")?)),
+            "double" => BlobField::Scalar(Value::Double(self.parse_attr("field", "v")?)),
+            "bool" => BlobField::Scalar(Value::Bool(self.parse_attr("field", "v")?)),
+            "str" => {
+                let text = self.element_text()?;
+                self.steps
+                    .push(Step::Field(i, BlobField::Scalar(Value::from(&*text))));
+                return Ok(());
+            }
+            "bytes" => {
+                let text = self.element_text()?;
+                let start = self.payloads.len();
+                hex_decode_into(&text, &mut self.payloads)?;
+                self.steps
+                    .push(Step::Payload(i, start..self.payloads.len()));
+                return Ok(());
+            }
+            other => return Err(SwapError::codec(format!("unknown field kind `{other}`"))),
+        };
+        // The content of a field with an attribute value is ignored.
+        self.element_text()?;
+        self.steps.push(Step::Field(i, field));
+        Ok(())
+    }
+
+    /// The direct text of the element just opened, through its end tag.
+    fn element_text(&mut self) -> Result<Cow<'a, str>> {
+        let mut text = Cow::Borrowed("");
+        loop {
+            match self.reader.next_raw()? {
+                RawEvent::Text(chunk) if text.is_empty() => text = chunk,
+                RawEvent::Text(chunk) => text.to_mut().push_str(&chunk),
+                RawEvent::Start { .. } => self.skip_element()?,
+                RawEvent::End { .. } => return Ok(text),
+                RawEvent::Eof => return Err(unclosed()),
+            }
+        }
+    }
+
+    /// The element whose start tag was just read, through its end tag.
+    fn skip_element(&mut self) -> Result<()> {
+        let mut depth = 1usize;
+        while depth > 0 {
+            match self.reader.next_raw()? {
+                RawEvent::Start { .. } => depth += 1,
+                RawEvent::End { .. } => depth -= 1,
+                RawEvent::Text(_) => {}
+                RawEvent::Eof => return Err(unclosed()),
+            }
+        }
+        Ok(())
+    }
+
+    /// The first attribute `name` of the latest start tag, `<element>`.
+    fn attr(&self, element: &str, name: &str) -> Result<&Cow<'a, str>> {
+        self.reader
+            .attrs()
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v)
+            .ok_or_else(|| {
+                obiwan_xml::Error::structure(format!(
+                    "element <{element}> missing required attribute `{name}`"
+                ))
+                .into()
+            })
+    }
+
+    fn parse_attr<T>(&self, element: &str, name: &str) -> Result<T>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        let raw = self.attr(element, name)?;
+        raw.parse().map_err(|e| {
+            obiwan_xml::Error::structure(format!(
+                "element <{element}> attribute `{name}`={raw:?}: {e}"
+            ))
+            .into()
+        })
+    }
 }
 
-fn hex_decode(text: &str) -> Result<Bytes> {
-    let text = text.trim();
-    if !text.len().is_multiple_of(2) {
+/// The shortest markup one recorded step can come from (`<field/>`): caps
+/// the log reservation a hostile `count` can ask for.
+const MIN_STEP_LEN: usize = 8;
+
+/// The reader reports an unclosed element before it reports `Eof`, so the
+/// decoder never sees one inside an element.
+fn unclosed() -> SwapError {
+    obiwan_xml::Error::UnexpectedEof {
+        context: "element tree",
+    }
+    .into()
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+fn hex_encode_into(out: &mut String, bytes: &[u8]) {
+    out.reserve(2 * bytes.len());
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+    }
+}
+
+/// Value of each ASCII hex digit (either case); `0xff` for every other
+/// byte, including signs and the bytes of non-ASCII characters.
+const NIBBLES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Append the bytes a hex payload spells to `out`. Surrounding whitespace
+/// is ignored; anything but pairs of hex digits is rejected.
+fn hex_decode_into(text: &str, out: &mut Vec<u8>) -> Result<()> {
+    let digits = text.trim().as_bytes();
+    if !digits.len().is_multiple_of(2) {
         return Err(SwapError::codec("odd-length hex payload"));
     }
-    let mut out = Vec::with_capacity(text.len() / 2);
-    for i in (0..text.len()).step_by(2) {
-        let byte = u8::from_str_radix(&text[i..i + 2], 16)
-            .map_err(|e| SwapError::codec(format!("bad hex payload: {e}")))?;
-        out.push(byte);
+    for (n, pair) in digits.chunks_exact(2).enumerate() {
+        let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
+        if (hi | lo) > 0xf {
+            return Err(SwapError::codec(format!(
+                "bad hex payload: non-hex byte in the pair at offset {}",
+                2 * n
+            )));
+        }
+        out.push(hi << 4 | lo);
     }
-    Ok(Bytes::from(out))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -333,10 +573,67 @@ mod tests {
 
     #[test]
     fn hex_roundtrip() {
-        let data = Bytes::from((0u8..=255).collect::<Vec<u8>>());
-        assert_eq!(hex_decode(&hex_encode(&data)).unwrap(), data);
-        assert!(hex_decode("abc").is_err());
-        assert!(hex_decode("zz").is_err());
+        let data: Vec<u8> = (0u8..=255).collect();
+        let mut text = String::new();
+        hex_encode_into(&mut text, &data);
+        let mut back = Vec::new();
+        hex_decode_into(&text, &mut back).unwrap();
+        assert_eq!(back, data);
+        let mut upper = Vec::new();
+        hex_decode_into(" 00FFaB\n", &mut upper).unwrap();
+        assert_eq!(upper, [0x00, 0xff, 0xab]);
+        for bad in ["abc", "zz", "+a0f", "-1", "aé0", "0x"] {
+            assert!(
+                matches!(
+                    hex_decode_into(bad, &mut Vec::new()),
+                    Err(SwapError::Codec { .. })
+                ),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn render_matches_the_writer_on_empty_shapes() {
+        let reference = |objects: &[(u64, usize)]| {
+            let mut w = obiwan_xml::Writer::new();
+            w.begin("swap-cluster").unwrap();
+            w.attr("id", "3").unwrap().attr("epoch", "1").unwrap();
+            w.attr("count", objects.len().to_string()).unwrap();
+            for &(oid, fields) in objects {
+                w.begin("object")
+                    .unwrap()
+                    .attr("oid", oid.to_string())
+                    .unwrap();
+                w.attr("class", "N<&>").unwrap().attr("repl", "0").unwrap();
+                for i in 0..fields {
+                    w.begin("field").unwrap().attr("i", i.to_string()).unwrap();
+                    w.attr("kind", "str").unwrap().text("").unwrap();
+                    w.end().unwrap();
+                }
+                w.end().unwrap();
+            }
+            w.end().unwrap();
+            w.finish().unwrap()
+        };
+        let blob = |objects: &[(u64, usize)]| Blob {
+            swap_cluster: 3,
+            epoch: 1,
+            objects: objects
+                .iter()
+                .map(|&(oid, fields)| BlobObject {
+                    oid: Oid(oid),
+                    class: "N<&>".into(),
+                    repl_cluster: 0,
+                    fields: (0..fields)
+                        .map(|i| (i, BlobField::Scalar(Value::from(""))))
+                        .collect(),
+                })
+                .collect(),
+        };
+        for shape in [&[][..], &[(1, 0)], &[(1, 2), (2, 0)]] {
+            assert_eq!(render_xml(&blob(shape)).unwrap(), reference(shape));
+        }
     }
 
     fn two_member_process() -> (Process, Vec<ObjRef>) {

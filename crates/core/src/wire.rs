@@ -15,9 +15,10 @@
 //!   header.
 //!
 //! Decoding has one dispatch: it sniffs the format, inflates LZ bodies and
-//! streams the objects into a [`BlobSink`]. [`decode_blob_into`] feeds the
-//! reload's arena materializer; [`decode_blob`] feeds a sink that builds
-//! the [`Blob`] IR.
+//! streams the objects into a [`BlobSink`] — binary frames straight off
+//! the bytes, XML through a pull parser over borrowed events.
+//! [`decode_blob_into`] feeds the reload's arena materializer;
+//! [`decode_blob`] feeds a sink that builds the [`Blob`] IR.
 //!
 //! # Self-describing header
 //!
@@ -155,8 +156,10 @@ pub fn decode_blob(data: &[u8]) -> Result<Blob> {
 /// returning the header the body decoded under. This is the reload hot
 /// path: binary frames stream object-by-object with byte payloads sliced
 /// zero-copy out of `data`'s backing buffer, LZ frames decompress once and
-/// stream from the inflated buffer, and XML streams from its parsed
-/// document.
+/// stream from the inflated buffer, and XML is pulled event by event off
+/// the text, its hex payloads decoded into one buffer per blob and handed
+/// out as zero-copy slices of it. An XML blob reaches the sink only once
+/// the whole text has parsed.
 ///
 /// Error parity with [`decode_blob`] is exact for well-formed input and
 /// for the first parse error of corrupt input; a sink may have consumed a

@@ -7,11 +7,14 @@
 
 #![allow(clippy::disallowed_methods)] // tests may panic on impossible states
 
+mod support;
+
 use obiwan_core::codec::{Blob, BlobField, BlobObject};
 use obiwan_core::materialize::{ClusterMaterializer, Fixup, FixupKind};
 use obiwan_core::wire::{decode_blob, decode_blob_into, encode_blob, BlobHeader, WireFormatKind};
-use obiwan_heap::{ClassBuilder, ClassRegistry, Heap, ObjRef, ObjectKind, Oid, Value};
+use obiwan_heap::{ClassBuilder, ClassRegistry, Heap, ObjRef, ObjectKind, Value};
 use proptest::prelude::*;
+use support::arb_blob;
 
 /// A six-field "Node" layout — wide enough for every index the generator
 /// emits, and wide enough to exercise the spilled field store.
@@ -27,70 +30,6 @@ fn registry() -> ClassRegistry {
             .bytes_field("f5"),
     );
     reg
-}
-
-fn arb_scalar() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        any::<i64>().prop_map(Value::Int),
-        any::<f64>()
-            .prop_filter("finite", |f| f.is_finite())
-            .prop_map(Value::Double),
-        any::<bool>().prop_map(Value::Bool),
-        "\\PC{0,24}".prop_map(Value::from),
-        proptest::collection::vec(any::<u8>(), 0..64)
-            .prop_map(|v| Value::Bytes(bytes::Bytes::from(v))),
-    ]
-}
-
-fn arb_field() -> impl Strategy<Value = BlobField> {
-    prop_oneof![
-        3 => arb_scalar().prop_map(BlobField::Scalar),
-        1 => (1u64..100).prop_map(|o| BlobField::ProxyRef(Oid(o))),
-        1 => (1u64..100).prop_map(|o| BlobField::FaultRef(Oid(o))),
-    ]
-}
-
-fn arb_blob() -> impl Strategy<Value = Blob> {
-    (
-        1u32..1000,
-        0u32..10,
-        proptest::collection::vec(
-            (1u64..10_000, proptest::collection::vec(arb_field(), 0..5)),
-            1..12,
-        ),
-    )
-        .prop_map(|(swap_cluster, epoch, raw_objects)| {
-            let mut seen = std::collections::HashSet::new();
-            let mut objects: Vec<BlobObject> = Vec::new();
-            for (i, (oid, fields)) in raw_objects.into_iter().enumerate() {
-                let oid = if seen.insert(oid) {
-                    oid
-                } else {
-                    20_000 + i as u64
-                };
-                seen.insert(oid);
-                objects.push(BlobObject {
-                    oid: Oid(oid),
-                    class: "Node".to_string(),
-                    repl_cluster: i as u32,
-                    fields: fields.into_iter().enumerate().collect(),
-                });
-            }
-            // Member-to-member edges, valid targets only.
-            let member_oids: Vec<Oid> = objects.iter().map(|o| o.oid).collect();
-            if member_oids.len() > 1 {
-                let target = member_oids[member_oids.len() - 1];
-                let next_idx = objects[0].fields.len();
-                objects[0]
-                    .fields
-                    .push((next_idx, BlobField::MemberRef(target)));
-            }
-            Blob {
-                swap_cluster,
-                epoch,
-                objects,
-            }
-        })
 }
 
 /// What the legacy reload did with a decoded [`Blob`]: alloc per object

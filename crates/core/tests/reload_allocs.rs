@@ -1,9 +1,11 @@
-//! Counting-allocator proof of the zero-copy reload contract: the binary
+//! Counting-allocator proof of the zero-copy reload contract: the
 //! decode-into-arena path performs **zero intermediate heap allocations
-//! per object**. The whole materialize-and-adopt sequence costs a small
-//! constant number of allocations (the two materializer vectors, the
-//! class-name cache, the slab, the oid map) no matter whether the cluster
-//! holds 1, 10 or 100 objects.
+//! per object**, for binary frames and for XML text alike. The whole
+//! materialize-and-adopt sequence costs a small constant number of
+//! allocations (the two materializer vectors, the class-name cache, the
+//! slab, the oid map; for XML also the reader's stacks, the step log and
+//! the one payload buffer) no matter whether the cluster holds 1, 10 or
+//! 100 objects.
 //!
 //! This file deliberately contains a single `#[test]` so nothing else in
 //! the binary allocates while a region is being measured.
@@ -29,11 +31,11 @@ fn registry() -> ClassRegistry {
     reg
 }
 
-/// A binary frame for a cluster of `n` linked nodes, each carrying an int,
-/// a 32-byte payload and a member reference to its successor. No string
-/// fields: `Value::Str` interns into an `Arc<str>`, which is a real
+/// A cluster of `n` linked nodes in wire format `kind`, each node carrying
+/// an int, a 32-byte payload and a member reference to its successor. No
+/// string fields: `Value::Str` interns into an `Arc<str>`, which is a real
 /// allocation the wire data forces and not "intermediate" bookkeeping.
-fn binary_cluster(n: usize) -> bytes::Bytes {
+fn cluster(kind: WireFormatKind, n: usize) -> bytes::Bytes {
     let objects = (0..n)
         .map(|i| {
             let mut fields = vec![
@@ -55,7 +57,7 @@ fn binary_cluster(n: usize) -> bytes::Bytes {
         })
         .collect();
     encode_blob(
-        WireFormatKind::Binary,
+        kind,
         &Blob {
             swap_cluster: 7,
             epoch: 1,
@@ -86,42 +88,44 @@ fn materialize(reg: &ClassRegistry, heap: &mut Heap, data: &bytes::Bytes) -> usi
 }
 
 #[test]
-fn binary_reload_allocates_nothing_per_object() {
+fn reload_allocates_nothing_per_object() {
     let reg = registry();
     let sizes = [1usize, 10, 100];
-    let frames: Vec<bytes::Bytes> = sizes.iter().map(|&n| binary_cluster(n)).collect();
+    for kind in [WireFormatKind::Binary, WireFormatKind::Xml] {
+        let frames: Vec<bytes::Bytes> = sizes.iter().map(|&n| cluster(kind, n)).collect();
 
-    let mut measured = Vec::new();
-    for (&n, data) in sizes.iter().zip(&frames) {
-        // The arena itself is pre-built: its creation cost is paid once per
-        // process, not per reload.
-        let mut heap = Heap::new(reg.clone(), 1 << 24);
-        // Warm-up pass on a throwaway heap so lazy one-time init (class
-        // registry probes, etc.) doesn't land in the measured region.
-        materialize(&reg, &mut Heap::new(reg.clone(), 1 << 24), data);
+        let mut measured = Vec::new();
+        for (&n, data) in sizes.iter().zip(&frames) {
+            // The arena itself is pre-built: its creation cost is paid once
+            // per process, not per reload.
+            let mut heap = Heap::new(reg.clone(), 1 << 24);
+            // Warm-up pass on a throwaway heap so lazy one-time init (class
+            // registry probes, etc.) doesn't land in the measured region.
+            materialize(&reg, &mut Heap::new(reg.clone(), 1 << 24), data);
 
-        let (allocs, decoded) = alloc_counter::count(|| materialize(&reg, &mut heap, data));
-        assert_eq!(decoded, n);
-        assert_eq!(heap.live_objects(), n);
-        measured.push(allocs);
-    }
+            let (allocs, decoded) = alloc_counter::count(|| materialize(&reg, &mut heap, data));
+            assert_eq!(decoded, n);
+            assert_eq!(heap.live_objects(), n);
+            measured.push(allocs);
+        }
 
-    // Every reload — regardless of cluster size — costs only the constant
-    // bookkeeping: materializer vectors, class cache, slab, oid map.
-    for (&n, &allocs) in sizes.iter().zip(&measured) {
+        // Every reload — regardless of cluster size — costs only the
+        // constant bookkeeping.
+        for (&n, &allocs) in sizes.iter().zip(&measured) {
+            assert!(
+                allocs <= 32,
+                "{kind} reload of {n} objects performed {allocs} allocations — \
+                 per-object intermediates have crept back into the decode path"
+            );
+        }
+        // And the marginal cost of 99 extra objects is zero per object: any
+        // per-object Blob/Vec/Bytes intermediate would show up 99 times here.
+        let marginal = measured[2].saturating_sub(measured[0]);
         assert!(
-            allocs <= 32,
-            "reload of {n} objects performed {allocs} allocations — per-object \
-             intermediates have crept back into the decode path"
+            marginal <= 8,
+            "{kind}: 100-object reload costs {} more allocations than a 1-object \
+             reload (measured: {measured:?}) — the decode path allocates per object",
+            marginal
         );
     }
-    // And the marginal cost of 99 extra objects is zero per object: any
-    // per-object Blob/Vec/Bytes intermediate would show up 99 times here.
-    let marginal = measured[2].saturating_sub(measured[0]);
-    assert!(
-        marginal <= 8,
-        "100-object reload costs {} more allocations than a 1-object reload \
-         (measured: {measured:?}) — the decode path allocates per object",
-        marginal
-    );
 }

@@ -17,21 +17,50 @@ use crate::{Error, Result};
 /// ```
 pub fn escape(input: &str) -> String {
     let mut out = String::with_capacity(input.len());
-    for ch in input.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            c if (c as u32) < 0x20 && c != '\t' && c != '\n' && c != '\r' => {
-                out.push_str(&format!("&#{};", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, input);
     out
 }
+
+/// Append the escaped form of `input` to `out` — [`escape`] without the
+/// intermediate `String`.
+///
+/// # Examples
+///
+/// ```
+/// let mut out = String::from("v=");
+/// obiwan_xml::escape_into(&mut out, "\"a\u{1}\"");
+/// assert_eq!(out, "v=&quot;a&#1;&quot;");
+/// ```
+pub fn escape_into(out: &mut String, input: &str) {
+    // Every byte that needs escaping is ASCII, so each split point below is
+    // a char boundary and unescaped runs are copied whole.
+    let mut run = 0;
+    for (i, &b) in input.as_bytes().iter().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&apos;",
+            b'\t' | b'\n' | b'\r' => continue,
+            0..=0x1f => CONTROL_REFS[usize::from(b)],
+            _ => continue,
+        };
+        out.push_str(&input[run..i]);
+        out.push_str(entity);
+        run = i + 1;
+    }
+    out.push_str(&input[run..]);
+}
+
+/// Numeric character references for the control characters below `0x20`
+/// (tab, LF and CR are never looked up: they stay raw).
+const CONTROL_REFS: [&str; 32] = [
+    "&#0;", "&#1;", "&#2;", "&#3;", "&#4;", "&#5;", "&#6;", "&#7;", "&#8;", "&#9;", "&#10;",
+    "&#11;", "&#12;", "&#13;", "&#14;", "&#15;", "&#16;", "&#17;", "&#18;", "&#19;", "&#20;",
+    "&#21;", "&#22;", "&#23;", "&#24;", "&#25;", "&#26;", "&#27;", "&#28;", "&#29;", "&#30;",
+    "&#31;",
+];
 
 /// Reverse of [`escape`]: resolve entities back to characters.
 ///
@@ -143,6 +172,19 @@ mod tests {
         assert_eq!(escape("\u{1}"), "&#1;");
         // Tab, LF and CR are legal raw.
         assert_eq!(escape("\t\n\r"), "\t\n\r");
+    }
+
+    #[test]
+    fn escape_control_characters_cover_both_digit_counts() {
+        assert_eq!(escape("\u{0}\u{9}\u{b}\u{1f}"), "&#0;\t&#11;&#31;");
+    }
+
+    #[test]
+    fn escape_into_appends() {
+        let mut out = String::from("x");
+        escape_into(&mut out, "é<");
+        escape_into(&mut out, "");
+        assert_eq!(out, "xé&lt;");
     }
 
     #[test]

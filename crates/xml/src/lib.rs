@@ -5,11 +5,14 @@
 //! virtual machine or middleware — they only store, return, or drop keyed
 //! text. This crate provides exactly the XML machinery that artifact needs:
 //!
-//! * [`escape`] / [`unescape`] — entity handling for text and attributes,
+//! * [`escape`] / [`escape_into`] / [`unescape`] — entity handling for text
+//!   and attributes,
 //! * [`Writer`] — an event-style writer with automatic element nesting,
-//! * [`Reader`] — a pull parser emitting [`Event`]s,
+//! * [`Reader`] — a pull parser emitting borrowed [`RawEvent`]s (and owned
+//!   [`Event`]s over them),
 //! * [`Element`] — a DOM-lite tree built on top of the reader for the
-//!   consumers that prefer random access (the policy engine, the codec).
+//!   consumers that prefer random access (the policy engine). The swap
+//!   codec pulls [`RawEvent`]s directly.
 //!
 //! The dialect is deliberately a subset of XML 1.0: elements, attributes,
 //! text, comments, CDATA and the XML declaration. No namespaces, DTDs or
@@ -47,8 +50,8 @@ mod tree;
 mod writer;
 
 pub use error::Error;
-pub use escape::{escape, unescape};
-pub use reader::{Event, Reader};
+pub use escape::{escape, escape_into, unescape};
+pub use reader::{Event, RawEvent, Reader};
 pub use tree::Element;
 pub use writer::Writer;
 

@@ -1,6 +1,6 @@
 //! DOM-lite element tree built on the pull parser.
 
-use crate::{Error, Event, Reader, Result, Writer};
+use crate::{Error, RawEvent, Reader, Result, Writer};
 
 /// An in-memory XML element: name, attributes, child elements and text.
 ///
@@ -48,23 +48,21 @@ impl Element {
     /// document has no root element or trailing content after it.
     pub fn parse(doc: &str) -> Result<Element> {
         let mut reader = Reader::new(doc);
-        let root = match reader.next_event()? {
-            Event::Start {
-                name,
-                attrs,
-                self_closing,
-            } => build(&mut reader, name, attrs, self_closing)?,
-            Event::Eof => return Err(Error::structure("document contains no root element")),
+        let root = match reader.next_raw()? {
+            RawEvent::Start { name, self_closing } => build(&mut reader, name, self_closing)?,
+            RawEvent::Eof => return Err(Error::structure("document contains no root element")),
             other => {
                 return Err(Error::structure(format!(
-                    "expected root element, found {other:?}"
+                    "expected root element, found {:?}",
+                    reader.to_owned_event(other)
                 )))
             }
         };
-        match reader.next_event()? {
-            Event::Eof => Ok(root),
+        match reader.next_raw()? {
+            RawEvent::Eof => Ok(root),
             other => Err(Error::structure(format!(
-                "trailing content after root element: {other:?}"
+                "trailing content after root element: {:?}",
+                reader.to_owned_event(other)
             ))),
         }
     }
@@ -219,37 +217,31 @@ impl Element {
     }
 }
 
-fn build(
-    reader: &mut Reader<'_>,
-    name: String,
-    attrs: Vec<(String, String)>,
-    self_closing: bool,
-) -> Result<Element> {
+fn build<'a>(reader: &mut Reader<'a>, name: &'a str, self_closing: bool) -> Result<Element> {
     let mut el = Element {
-        name,
-        attrs,
+        name: name.to_owned(),
+        attrs: reader.owned_attrs(),
         children: Vec::new(),
         text: String::new(),
     };
     if self_closing {
         // Consume the synthetic End.
-        match reader.next_event()? {
-            Event::End { .. } => return Ok(el),
-            other => return Err(Error::structure(format!("expected end, got {other:?}"))),
-        }
+        return match reader.next_raw()? {
+            RawEvent::End { .. } => Ok(el),
+            other => Err(Error::structure(format!(
+                "expected end, got {:?}",
+                reader.to_owned_event(other)
+            ))),
+        };
     }
     loop {
-        match reader.next_event()? {
-            Event::Start {
-                name,
-                attrs,
-                self_closing,
-            } => {
-                el.children.push(build(reader, name, attrs, self_closing)?);
+        match reader.next_raw()? {
+            RawEvent::Start { name, self_closing } => {
+                el.children.push(build(reader, name, self_closing)?);
             }
-            Event::Text(t) => el.text.push_str(&t),
-            Event::End { .. } => return Ok(el),
-            Event::Eof => {
+            RawEvent::Text(t) => el.text.push_str(&t),
+            RawEvent::End { .. } => return Ok(el),
+            RawEvent::Eof => {
                 return Err(Error::UnexpectedEof {
                     context: "element tree",
                 })

@@ -1,6 +1,6 @@
 //! Event-style XML writer.
 
-use crate::{escape, Error, Result};
+use crate::{escape_into, Error, Result};
 
 /// Streaming XML writer with automatic nesting and escaping.
 ///
@@ -121,7 +121,7 @@ impl Writer {
         self.out.push(' ');
         self.out.push_str(name);
         self.out.push_str("=\"");
-        self.out.push_str(&escape(value.as_ref()));
+        escape_into(&mut self.out, value.as_ref());
         self.out.push('"');
         Ok(self)
     }
@@ -143,7 +143,7 @@ impl Writer {
         {
             self.content.last_mut().expect("stack nonempty").text = true;
         }
-        self.out.push_str(&escape(text));
+        escape_into(&mut self.out, text);
         Ok(self)
     }
 
@@ -163,7 +163,7 @@ impl Writer {
         {
             self.content.last_mut().expect("just pushed").text = true;
         }
-        self.out.push_str(&escape(value.as_ref()));
+        escape_into(&mut self.out, value.as_ref());
         #[allow(clippy::disallowed_methods)]
         let name = self.stack.pop().expect("just pushed");
         self.content.pop();
