@@ -71,9 +71,9 @@ struct ShipRecord {
 pub(crate) struct Detached {
     /// Payload bytes shipped (the encoded blob's length).
     shipped: usize,
-    /// Heap bytes the detached members occupy until the next collection
-    /// frees them.
-    member_bytes: usize,
+    /// Handles of the detached members: unreachable once the commit has
+    /// patched every inbound proxy, still on the heap until freed.
+    members: Vec<ObjRef>,
 }
 
 /// What the shipping phase produced. Infallible by construction: lock
@@ -168,7 +168,8 @@ impl SwappingManager {
     }
 
     /// Swap-out without the collection: prepare, ship and commit. The
-    /// members stay on the heap, unreachable, until the next collection.
+    /// members stay on the heap, unreachable, until the caller frees them
+    /// or the next collection does.
     fn detach(&self, p: &mut Process, sc: u32) -> Result<Detached> {
         let prep = self.detach_prepare(p, sc)?;
         let shipped = ship_copies(&self.net, &prep);
@@ -285,8 +286,8 @@ impl SwappingManager {
     /// perform the graph surgery — under coordinator + shard locks (in
     /// that order). Always closes the trace pair opened by
     /// [`SwappingManager::detach_prepare`] — `detach_end` on success,
-    /// `detach_abort` on any error. Collecting the detached members is
-    /// left to the caller.
+    /// `detach_abort` on any error. Freeing the detached members is left
+    /// to the caller.
     pub(crate) fn detach_commit(
         &self,
         p: &mut Process,
@@ -372,8 +373,8 @@ impl SwappingManager {
             .get_mut(&sc)
             .ok_or(SwapError::UnknownSwapCluster { swap_cluster: sc })?
             .epoch += 1;
-        let member_bytes = match self.detach_graph(p, c, shard, sc, device, &prep.key) {
-            Ok(bytes) => bytes,
+        let members = match self.detach_graph(p, c, shard, sc, device, &prep.key) {
+            Ok(members) => members,
             Err(e) => {
                 if let Some((_, placement)) = shard.placements.remove(sc) {
                     for holder in placement.holders {
@@ -392,14 +393,14 @@ impl SwappingManager {
         });
         Ok(Detached {
             shipped: blob_bytes,
-            member_bytes,
+            members,
         })
     }
 
     /// The graph surgery of swap-out: build the replacement-object, patch
     /// the inbound proxies, detach the members. Caller holds coordinator
     /// (proxy tables) and the owning shard (registry entry). Returns the
-    /// heap bytes of the detached members.
+    /// handles of the detached members.
     fn detach_graph(
         &self,
         p: &mut Process,
@@ -408,7 +409,7 @@ impl SwappingManager {
         sc: u32,
         device: DeviceId,
         key: &str,
-    ) -> Result<usize> {
+    ) -> Result<Vec<ObjRef>> {
         // Collect the cluster's live outbound proxies for the replacement.
         let outbound: Vec<ObjRef> = {
             let weaks = c.outbound.get(&sc).cloned().unwrap_or_default();
@@ -464,9 +465,9 @@ impl SwappingManager {
             .clusters
             .get_mut(&sc)
             .ok_or(SwapError::UnknownSwapCluster { swap_cluster: sc })?;
-        let mut member_bytes = 0;
+        let mut members = Vec::with_capacity(entry.members.len());
         for &(oid, r) in &entry.members {
-            member_bytes += p.heap().get(r).map_or(0, |o| o.size());
+            members.push(r);
             p.forget_replica(oid);
             p.note_swapped(oid, replacement);
         }
@@ -475,7 +476,7 @@ impl SwappingManager {
             key: key.to_string(),
             replacement,
         };
-        Ok(member_bytes)
+        Ok(members)
     }
 
     /// Pick a victim by policy and swap it out. Returns the victim id, or
@@ -498,16 +499,19 @@ impl SwappingManager {
         Ok(None)
     }
 
-    /// Evict victims behind one collection — the out-of-memory recovery
-    /// batch. Picks a victim by policy, detaches it without collecting and
-    /// counts its members' bytes as pending release; stops once
-    /// `bytes_used − pending ≤ floor` after at least one victim, or when
-    /// nothing is evictable. The caller's next collection frees the whole
-    /// batch, whatever [`crate::SwapConfig::collect_after_swap_out`] says.
-    /// Returns how many victims were detached.
-    ///
-    /// A detach that runs out of memory while earlier victims are still
-    /// uncollected collects them and carries on.
+    /// Evict victims without a collection per victim — the out-of-memory
+    /// recovery batch. Picks a victim by policy, detaches it, and once the
+    /// commit has returned (no guard held) frees its members straight onto
+    /// the heap's free list ([`obiwan_heap::Heap::free_detached`]): the
+    /// commit patched every inbound proxy, so only a root can still hold
+    /// them. A victim that a root does hold (a global set straight at a
+    /// member, an invocation's extra root, a pinned member) is left to a
+    /// collection run at once, which keeps what that root reaches and frees
+    /// the rest, so `bytes_used` is exact before the next victim either
+    /// way. Stops once `bytes_used ≤ floor` after at least one victim, or
+    /// when nothing is evictable, whatever
+    /// [`crate::SwapConfig::collect_after_swap_out`] says. Returns how many
+    /// victims were detached.
     ///
     /// # Errors
     ///
@@ -516,21 +520,18 @@ impl SwappingManager {
     /// skipped).
     pub fn swap_out_victims_to(&self, p: &mut Process, floor: usize) -> Result<usize> {
         let mut evicted = 0;
-        let mut pending = 0;
-        while evicted == 0 || p.heap().bytes_used().saturating_sub(pending) > floor {
+        while evicted == 0 || p.heap().bytes_used() > floor {
             let Some(sc) = self.pick_victim() else {
                 break;
             };
             match self.detach(p, sc) {
                 Ok(detached) => {
                     evicted += 1;
-                    pending += detached.member_bytes;
+                    if p.heap_mut().free_detached(&detached.members).is_none() {
+                        p.collect();
+                    }
                 }
                 Err(SwapError::NothingToSwap { .. }) => {}
-                Err(e) if e.is_out_of_memory() && pending > 0 => {
-                    p.collect();
-                    pending = 0;
-                }
                 Err(e) => return Err(e),
             }
         }

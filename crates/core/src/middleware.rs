@@ -440,8 +440,9 @@ impl Middleware {
 
     /// Invoke with the paper's recovery loop: on out-of-memory, collect,
     /// swap out victims until occupancy falls to the low watermark
-    /// ([`SwappingManager::swap_out_victims_to`]), collect once more, and
-    /// retry (up to `retries` times).
+    /// ([`SwappingManager::swap_out_victims_to`], which frees each victim's
+    /// members as its detach commits), and retry (up to `retries` times).
+    /// A recovery is one collection however many victims it evicts.
     ///
     /// Note that a single operation whose working set exceeds device memory
     /// (e.g. a recursion that keeps every visited cluster live on the call
@@ -499,10 +500,9 @@ impl Middleware {
                     let floor = capacity / 100 * self.context.watermarks().low_pct as usize;
                     // Evict at least one victim (guaranteeing forward
                     // progress even when the collection alone dropped below
-                    // the watermark), then keep evicting down to the floor;
-                    // the collection below frees the whole batch.
+                    // the watermark), then keep evicting down to the floor.
                     let evicted = self.manager.swap_out_victims_to(&mut self.process, floor)?;
-                    self.run_gc()?;
+                    self.debug_self_audit("swap_out_victims_to");
                     let progress = evicted > 0 || self.process.heap().bytes_used() < used_before;
                     if !progress {
                         return Err(e);

@@ -1,11 +1,13 @@
 //! Out-of-memory recovery (`Middleware::invoke_resilient`): the batch of
-//! victims it evicts, what that batch costs in collections, and how it
-//! behaves when swap-outs do not collect on their own.
+//! victims it evicts, what that batch costs in collections, how it behaves
+//! when swap-outs do not collect on their own, the victim a root still
+//! holds, and the debug check behind freeing each victim's members at
+//! commit.
 
 #![allow(clippy::disallowed_methods)] // tests may panic on impossible states
 
-use obiwan_core::{Middleware, SwapConfig};
-use obiwan_heap::{ObjRef, Value};
+use obiwan_core::{Middleware, Rule, SwapConfig};
+use obiwan_heap::{ObjRef, ObjectKind, Value};
 use obiwan_policy::Watermarks;
 use obiwan_replication::{standard_classes, Server};
 use obiwan_trace::EventKind;
@@ -47,6 +49,16 @@ fn detached(mw: &Middleware) -> Vec<u32> {
         .collect()
 }
 
+/// `gc-run` events recorded so far.
+fn gc_run_events(mw: &Middleware) -> usize {
+    mw.manager()
+        .export_trace()
+        .events
+        .iter()
+        .filter(|r| matches!(r.kind, EventKind::GcRun { .. }))
+        .count()
+}
+
 /// One hop through the `next` chain the way the middleware recovered
 /// before victims were batched: collect, evict one victim at a time
 /// (each swap-out collecting after itself) until occupancy is at the low
@@ -78,7 +90,7 @@ fn step_with_per_victim_recovery(mw: &mut Middleware, low_pct: usize) -> Value {
 }
 
 #[test]
-fn a_recovery_evicts_the_per_victim_recipes_victims_behind_two_collections() {
+fn a_recovery_evicts_the_per_victim_recipes_victims_behind_one_collection() {
     let config = SwapConfig::default();
     let mut batched = list_world(600, 10, 24 << 10, config);
     let mut per_victim = list_world(600, 10, 24 << 10, config);
@@ -89,6 +101,7 @@ fn a_recovery_evicts_the_per_victim_recipes_victims_behind_two_collections() {
     let mut checked = 0;
     for step in 0..599 {
         let gc_before = batched.stats().heap.gc_runs;
+        let gc_events_before = gc_run_events(&batched);
         let swaps_before = batched.swap_stats().swap_outs;
         let next = batched
             .invoke_resilient(cursor(&batched), "next", vec![], 100)
@@ -111,8 +124,13 @@ fn a_recovery_evicts_the_per_victim_recipes_victims_behind_two_collections() {
         if victims > 0 {
             assert_eq!(
                 batched.stats().heap.gc_runs - gc_before,
-                2,
-                "step {step}: a recovery of {victims} victims collects twice"
+                1,
+                "step {step}: a recovery of {victims} victims collects once"
+            );
+            assert_eq!(
+                gc_run_events(&batched) - gc_events_before,
+                1,
+                "step {step}: one gc-run event per recovery"
             );
         }
         if victims >= 3 {
@@ -199,7 +217,7 @@ fn recovery_without_per_swap_out_collection_evicts_no_more_than_with_it() {
 }
 
 #[test]
-fn a_batch_that_runs_out_of_memory_collects_its_victims_and_carries_on() {
+fn a_batch_frees_each_victims_members_before_the_next_detach() {
     const NODES: usize = 200;
     let config = SwapConfig::default().collect_after_swap_out(false);
     let mut probe = list_world(NODES, 20, 1 << 20, config);
@@ -217,8 +235,9 @@ fn a_batch_that_runs_out_of_memory_collects_its_victims_and_carries_on() {
         probe.swap_out_victim().unwrap().unwrap();
         grew.push(probe.process().heap().bytes_used() - before);
     }
-    // Room for the first replacement but not the second: the second
-    // detach fails until the first victim's members are collected.
+    // Room for the first replacement but not the second while the first
+    // victim's members stay on the heap: the second replacement fits only
+    // because those members were freed when the first detach committed.
     let used = mw.process().heap().bytes_used();
     mw.process_mut()
         .heap_mut()
@@ -231,31 +250,83 @@ fn a_batch_that_runs_out_of_memory_collects_its_victims_and_carries_on() {
         .unwrap();
     assert_eq!(evicted, loaded, "a zero floor evicts every loaded cluster");
     assert!(mw.manager().loaded_clusters().is_empty());
-    assert_eq!(
-        mw.stats().heap.gc_runs - gc_before,
-        1,
-        "one fallback collection"
-    );
-
+    assert_eq!(mw.stats().heap.gc_runs - gc_before, 0, "no collection");
     let events = mw.manager().export_trace().events;
-    let aborted: Vec<u32> = events
-        .iter()
-        .filter_map(|r| match r.kind {
-            EventKind::DetachAbort { sc } => Some(sc),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        aborted,
-        vec![detached(&mw)[1]],
-        "the second victim, retried"
+    assert!(
+        !events
+            .iter()
+            .any(|r| matches!(r.kind, EventKind::DetachAbort { .. })),
+        "no detach ran out of memory"
     );
 
     mw.process_mut().heap_mut().set_capacity(1 << 20);
-    mw.run_gc().unwrap();
     let report = mw.audit();
     assert!(!report.has_errors(), "{report}");
     let root = mw.global("p0").unwrap().expect_ref().unwrap();
     let len = mw.invoke_resilient(root, "length", vec![], 100).unwrap();
     assert_eq!(len, Value::Int(NODES as i64));
+}
+
+/// A global set straight at a member of the next victim (legal, audit
+/// warning W1) keeps that member, and what it reaches, alive: the batch
+/// leaves the whole victim to a collection instead of freeing it.
+#[test]
+fn a_victim_that_a_global_still_holds_is_left_to_the_collector() {
+    const NODES: usize = 200;
+    let config = SwapConfig::default().collect_after_swap_out(false);
+    let mut mw = list_world(NODES, 20, 1 << 20, config);
+    let root = mw.global("p0").unwrap().expect_ref().unwrap();
+    assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), NODES as i64);
+    mw.run_gc().unwrap();
+    let manager = mw.manager();
+    let victim = manager.pick_victim().unwrap();
+    let (_, member) = manager.cluster(victim).unwrap().members[0];
+    mw.set_global("leak", Value::Ref(member));
+    let loaded = manager.loaded_clusters().len();
+    let gc_before = mw.stats().heap.gc_runs;
+    let evicted = manager.swap_out_victims_to(mw.process_mut(), 0).unwrap();
+    assert_eq!(evicted, loaded, "a zero floor evicts every loaded cluster");
+    assert_eq!(
+        mw.stats().heap.gc_runs - gc_before,
+        1,
+        "only the held victim is collected"
+    );
+
+    let heap = mw.process().heap();
+    assert_eq!(mw.global("leak").unwrap(), Value::Ref(member));
+    let Value::Ref(next) = *heap.field_by_name(member, "next").unwrap() else {
+        panic!("the first member links to the next");
+    };
+    assert!(heap.is_live(next), "what the held member reaches stays");
+    let report = mw.audit();
+    assert!(!report.has_errors(), "{report}");
+    let warnings: Vec<Rule> = report.warnings().map(|v| v.rule).collect();
+    assert_eq!(warnings, vec![Rule::UnmediatedGlobal], "{report}");
+    let len = mw.invoke_resilient(root, "length", vec![], 100).unwrap();
+    assert_eq!(len, Value::Int(NODES as i64));
+}
+
+/// The debug shadow mark behind the direct free: a field planted straight
+/// at a member of the next victim, bypassing the swap-cluster-proxy rule
+/// (audit error B1), keeps that member reachable after its detach commits
+/// although no root holds it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "free_detached: slot")]
+fn a_field_that_bypasses_the_proxy_rule_trips_the_debug_check() {
+    let config = SwapConfig::default().collect_after_swap_out(false);
+    let mut mw = list_world(200, 20, 1 << 20, config);
+    let root = mw.global("p0").unwrap().expect_ref().unwrap();
+    assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), 200);
+    mw.run_gc().unwrap();
+    let manager = mw.manager();
+    let victim = manager.pick_victim().unwrap();
+    let (_, member) = manager.cluster(victim).unwrap().members[0];
+    let heap = mw.process_mut().heap_mut();
+    let node = heap.get(member).unwrap().class();
+    let holder = heap.alloc(node, ObjectKind::App).unwrap();
+    heap.set_field_by_name(holder, "next", Value::Ref(member))
+        .unwrap();
+    mw.set_global("holder", Value::Ref(holder));
+    let _ = manager.swap_out_victims_to(mw.process_mut(), 0);
 }
