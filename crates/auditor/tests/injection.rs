@@ -24,7 +24,6 @@ fn warm_middleware(n: usize, per_cluster: usize) -> (Middleware, ObjRef) {
         .cluster_size(per_cluster)
         .device_memory(1 << 20)
         .no_builtin_policies()
-        .swap_config(SwapConfig::default().collect_after_swap_out(false))
         .build(server);
     let root = mw.replicate_root(head).expect("replicate root");
     mw.set_global("head", Value::Ref(root));
@@ -51,11 +50,7 @@ fn warm_k_middleware(stores: usize, k: usize) -> (Middleware, ObjRef) {
                 .map(|i| StoreSpec::new(format!("store-{i}"), DeviceKind::Laptop, 1 << 20))
                 .collect(),
         )
-        .swap_config(
-            SwapConfig::default()
-                .collect_after_swap_out(false)
-                .replication_factor(k),
-        )
+        .swap_config(SwapConfig::default().replication_factor(k))
         .build(server);
     let root = mw.replicate_root(head).expect("replicate root");
     mw.set_global("head", Value::Ref(root));
@@ -202,10 +197,11 @@ fn b4_duplicate_proxy_pair_is_detected() {
 #[test]
 fn d1_unpatched_inbound_proxy_is_detected() {
     let (mut mw, _root) = warm_middleware(40, 10);
-    mw.swap_out(2).expect("swap out sc2");
-    // With collect_after_swap_out(false) the detached members are still on
-    // the heap; point an inbound proxy back at one, undoing the patch.
+    // A global at a member (legal, warning W1) keeps it on the heap after
+    // the detach; point an inbound proxy back at it, undoing the patch.
     let victim_member = members_of(&mw, 2)[0];
+    mw.set_global("held", Value::Ref(victim_member));
+    mw.swap_out(2).expect("swap out sc2");
     let p = mw.process();
     let mwc = p.universe().middleware;
     let inbound = p

@@ -1068,7 +1068,7 @@ impl AuditState {
 mod tests {
     use super::*;
     use crate::shard::{lock_coordinator, lock_shard};
-    use crate::{Middleware, SwapConfig};
+    use crate::Middleware;
     use obiwan_replication::{standard_classes, Server};
 
     /// A warmed two-plus-cluster world with everything replicated.
@@ -1079,7 +1079,6 @@ mod tests {
             .cluster_size(10)
             .device_memory(1 << 20)
             .no_builtin_policies()
-            .swap_config(SwapConfig::default().collect_after_swap_out(false))
             .build(server);
         let root = mw.replicate_root(head).expect("replicate");
         mw.set_global("head", obiwan_heap::Value::Ref(root));

@@ -24,9 +24,6 @@ pub struct SwapConfig {
     pub clusters_per_swap_cluster: usize,
     /// Which swap-cluster to evict under pressure.
     pub victim_policy: VictimPolicy,
-    /// Run a local collection right after a swap-out so the freed memory is
-    /// immediately available (the paper's LGC cooperation).
-    pub collect_after_swap_out: bool,
     /// Allow swap targets that are only reachable through relays — the
     /// paper's closing vision of devices "available to any user either to
     /// store data or to relay communications". Every hop pays its airtime.
@@ -62,7 +59,6 @@ impl Default for SwapConfig {
         SwapConfig {
             clusters_per_swap_cluster: 1,
             victim_policy: VictimPolicy::default(),
-            collect_after_swap_out: true,
             allow_relays: false,
             wire_format: WireFormatKind::default(),
             replication_factor: 1,
@@ -88,12 +84,6 @@ impl SwapConfig {
     /// Set the victim-selection policy.
     pub fn victim_policy(mut self, policy: VictimPolicy) -> Self {
         self.victim_policy = policy;
-        self
-    }
-
-    /// Control post-swap-out collection.
-    pub fn collect_after_swap_out(mut self, yes: bool) -> Self {
-        self.collect_after_swap_out = yes;
         self
     }
 
@@ -153,7 +143,6 @@ mod tests {
     fn defaults_match_paper_shape() {
         let c = SwapConfig::default();
         assert_eq!(c.clusters_per_swap_cluster, 1);
-        assert!(c.collect_after_swap_out);
         // The paper-faithful portable text stays the default wire format.
         assert_eq!(c.wire_format, WireFormatKind::Xml);
         // Single-copy placement is the paper's semantics.

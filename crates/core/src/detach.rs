@@ -16,9 +16,10 @@
 //!    while the bytes moved, records the placement, performs the graph
 //!    surgery and closes the trace pair with `detach_end`/`detach_abort`.
 //!
-//! [`SwappingManager::swap_out`] composes the three. Lock order per the
-//! documented hierarchy: prepare takes shard → net, ship takes net alone,
-//! commit takes coordinator → shard.
+//! [`SwappingManager::swap_out`] composes the three, then frees the
+//! detached members with no guard held. Lock order per the documented
+//! hierarchy: prepare takes shard → net, ship takes net alone, commit
+//! takes coordinator → shard.
 
 use crate::manager::{holder_candidates, lock_net, sweep_shard_orphans, SharedNet};
 use crate::shard::{lock_coordinator, lock_shard, Coordinator, Shard};
@@ -146,8 +147,11 @@ impl SwappingManager {
     ///    clusters reachable);
     /// 3. patch every **inbound** swap-cluster-proxy to target the
     ///    replacement-object;
-    /// 4. detach the members (they become garbage) and optionally run the
-    ///    local collector to realize the memory release.
+    /// 4. detach the members and, once the commit has returned (no guard
+    ///    held), free them at once ([`obiwan_heap::Heap::free_detached`]):
+    ///    the commit patched every inbound proxy, so only a root can still
+    ///    hold them. When a root does, one collection with its finalizers
+    ///    keeps what that root reaches and frees the rest.
     ///
     /// Returns the number of payload bytes shipped.
     ///
@@ -160,20 +164,13 @@ impl SwappingManager {
     /// plus codec/heap errors. The graph is only mutated after the blob has
     /// been stored successfully.
     pub fn swap_out(&self, p: &mut Process, sc: u32) -> Result<usize> {
-        let detached = self.detach(p, sc)?;
-        if self.config().collect_after_swap_out {
-            p.collect();
-        }
-        Ok(detached.shipped)
-    }
-
-    /// Swap-out without the collection: prepare, ship and commit. The
-    /// members stay on the heap, unreachable, until the caller frees them
-    /// or the next collection does.
-    fn detach(&self, p: &mut Process, sc: u32) -> Result<Detached> {
         let prep = self.detach_prepare(p, sc)?;
         let shipped = ship_copies(&self.net, &prep);
-        self.detach_commit(p, prep, shipped)
+        let detached = self.detach_commit(p, prep, shipped)?;
+        if p.heap_mut().free_detached(&detached.members).is_none() {
+            self.reclaim(p)?;
+        }
+        Ok(detached.shipped)
     }
 
     /// Phase 1 of swap-out: validate, open the trace pair with
@@ -499,41 +496,22 @@ impl SwappingManager {
         Ok(None)
     }
 
-    /// Evict victims without a collection per victim — the out-of-memory
-    /// recovery batch. Picks a victim by policy, detaches it, and once the
-    /// commit has returned (no guard held) frees its members straight onto
-    /// the heap's free list ([`obiwan_heap::Heap::free_detached`]): the
-    /// commit patched every inbound proxy, so only a root can still hold
-    /// them. A victim that a root does hold (a global set straight at a
-    /// member, an invocation's extra root, a pinned member) is left to a
-    /// collection run at once, which keeps what that root reaches and frees
-    /// the rest, so `bytes_used` is exact before the next victim either
-    /// way. Stops once `bytes_used ≤ floor` after at least one victim, or
-    /// when nothing is evictable, whatever
-    /// [`crate::SwapConfig::collect_after_swap_out`] says. Returns how many
+    /// Evict victims until `bytes_used ≤ floor` after at least one, or
+    /// until nothing is evictable — the out-of-memory recovery batch. Each
+    /// victim is a [`SwappingManager::swap_out_victim`], so its members
+    /// leave the heap before the next victim is picked. Returns how many
     /// victims were detached.
     ///
     /// # Errors
     ///
-    /// Propagates [`SwappingManager::swap_out`] failures other than
-    /// [`SwapError::NothingToSwap`] (the empty victim is retired and
-    /// skipped).
+    /// As [`SwappingManager::swap_out_victim`].
     pub fn swap_out_victims_to(&self, p: &mut Process, floor: usize) -> Result<usize> {
         let mut evicted = 0;
         while evicted == 0 || p.heap().bytes_used() > floor {
-            let Some(sc) = self.pick_victim() else {
+            if self.swap_out_victim(p)?.is_none() {
                 break;
-            };
-            match self.detach(p, sc) {
-                Ok(detached) => {
-                    evicted += 1;
-                    if p.heap_mut().free_detached(&detached.members).is_none() {
-                        p.collect();
-                    }
-                }
-                Err(SwapError::NothingToSwap { .. }) => {}
-                Err(e) => return Err(e),
             }
+            evicted += 1;
         }
         Ok(evicted)
     }

@@ -9,20 +9,37 @@
 //! [`obiwan_heap::Heap::take_finalized`]; this module turns those records
 //! into blob drops (for replacement-objects) and table pruning (for
 //! swap-cluster-proxies, whose "finalizer invokes code that eliminates
-//! entries referring to it").
+//! entries referring to it"). [`SwappingManager::reclaim`] is the one
+//! place the swapping layer collects, so no collection leaves its records
+//! behind.
 
 use crate::manager::lock_net;
 use crate::shard::{lock_coordinator, lock_shard};
 use crate::swap_cluster::SwapClusterState;
 use crate::{Result, SwappingManager};
-use obiwan_heap::{ObjectKind, Oid};
+use obiwan_heap::{CollectStats, ObjectKind, Oid};
 use obiwan_replication::Process;
 
 impl SwappingManager {
-    /// Process the finalization records of the most recent collections:
+    /// Collect the whole heap, run the finalizers of what died (blob
+    /// drops, table pruning) and record the `gc-run` event. Call with no
+    /// manager guard held.
+    ///
+    /// # Errors
+    ///
+    /// As [`SwappingManager::process_finalized`]; the collection itself
+    /// has happened by then, and no `gc-run` event is recorded.
+    pub(crate) fn reclaim(&self, p: &mut Process) -> Result<CollectStats> {
+        let stats = p.collect();
+        let dropped = self.process_finalized(p)?;
+        self.recorder
+            .gc_run(stats.freed_objects as u64, dropped as u64);
+        Ok(stats)
+    }
+
+    /// Process the finalization records of the collection that just ran:
     /// instruct storing devices to drop blobs of dead swapped-out clusters
-    /// and prune dead proxies from the manager tables. Call after every
-    /// collection (the middleware's `run_gc` does).
+    /// and prune dead proxies from the manager tables.
     ///
     /// Dead replacement-objects are handled per owning shard (shard → net
     /// per the hierarchy); dead proxies are batched and pruned in one
@@ -33,9 +50,10 @@ impl SwappingManager {
     ///
     /// # Errors
     ///
-    /// Currently infallible (drop failures are tolerated and counted), but
-    /// returns `Result` to allow stricter policies.
-    pub fn process_finalized(&self, p: &mut Process) -> Result<usize> {
+    /// [`crate::SwapError::LockPoisoned`] when a shard, the net or the
+    /// coordinator lock is poisoned. A holder that refuses the drop is
+    /// counted and its copy tracked as an orphan, not an error.
+    fn process_finalized(&self, p: &mut Process) -> Result<usize> {
         let (config, _) = self.prefs();
         let records = p.heap_mut().take_finalized();
         let mut dropped = 0;

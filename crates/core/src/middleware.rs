@@ -587,18 +587,11 @@ impl Middleware {
     ///
     /// # Errors
     ///
-    /// See [`SwappingManager::process_finalized`].
+    /// [`SwapError::LockPoisoned`] when a manager or net lock is poisoned.
     pub fn run_gc(&mut self) -> Result<obiwan_heap::CollectStats> {
-        let stats = self.process.collect();
-        let dropped = self.manager.process_finalized(&mut self.process);
-        if let Ok(d) = &dropped {
-            self.manager
-                .recorder
-                .gc_run(stats.freed_objects as u64, *d as u64);
-        }
+        let out = self.manager.reclaim(&mut self.process);
         self.debug_self_audit("run_gc");
-        dropped?;
-        Ok(stats)
+        out
     }
 
     /// Mark a swap-cluster-proxy for the iteration optimization

@@ -6,7 +6,7 @@
 
 #![allow(clippy::disallowed_methods)]
 
-use obiwan_core::{Middleware, SwapConfig, SwapError};
+use obiwan_core::{Middleware, SwapError};
 use obiwan_heap::Value;
 use obiwan_replication::{standard_classes, Server};
 use proptest::prelude::*;
@@ -75,7 +75,6 @@ proptest! {
     fn audit_is_error_free_after_every_operation(
         ops in proptest::collection::vec(arb_op(), 1..32),
         payload in 4usize..32,
-        collect_after in any::<bool>(),
         // Small heaps add organic memory-pressure evictions to the
         // scripted ones.
         memory_kb in 16usize..64,
@@ -86,7 +85,6 @@ proptest! {
         let mut mw = Middleware::builder()
             .cluster_size(10)
             .device_memory(memory_kb << 10)
-            .swap_config(SwapConfig::default().collect_after_swap_out(collect_after))
             .build(server);
         let root = mw.replicate_root(head).expect("replicate");
         mw.set_global("head", Value::Ref(root));

@@ -1,0 +1,171 @@
+//! One reclaim path. Swap-outs that no `Middleware::run_gc` follows — an
+//! explicit `swap_out`, a policy rule that evicts without `<gc/>` — free
+//! their victims at commit without a collection and leave no finalization
+//! record behind, and the one collection a root-held victim costs runs the
+//! finalizers before the call returns. No test here calls `run_gc`.
+
+#![allow(clippy::disallowed_methods)] // tests may panic on impossible states
+
+use obiwan_core::{Middleware, StoreSpec, SwapClusterState, SwapConfig};
+use obiwan_heap::{Oid, Value};
+use obiwan_net::DeviceKind;
+use obiwan_replication::{standard_classes, Server};
+use obiwan_trace::EventKind;
+
+/// Evicts one victim per replicated cluster and never collects.
+const EVICT_WITHOUT_GC: &str = "<policies>\
+    <policy id='evict-without-gc' category='machine'>\
+    <on event='cluster-replicated'/>\
+    <then><swap-out victims='1'/></then>\
+    </policy></policies>";
+
+/// A 200-node list in clusters of 20 with room to spare, its root proxy
+/// in the global `head`; `policies` replaces the builtin rules when given.
+fn list_world(policies: Option<&str>) -> Middleware {
+    let mut server = Server::new(standard_classes());
+    let head = server.build_list("Node", 200, 32).unwrap();
+    let mut builder = Middleware::builder()
+        .cluster_size(20)
+        .device_memory(1 << 20)
+        .no_builtin_policies();
+    if let Some(xml) = policies {
+        builder = builder.policies_xml(xml);
+    }
+    let mut mw = builder.build(server);
+    let root = mw.replicate_root(head).unwrap();
+    mw.set_global("head", Value::Ref(root));
+    mw
+}
+
+/// Assert that the last call neither collected nor left a finalization
+/// record behind.
+fn assert_no_collection(mw: &mut Middleware, gc_before: u64, what: &str) {
+    assert_eq!(
+        mw.stats().heap.gc_runs,
+        gc_before,
+        "{what} ran a collection"
+    );
+    assert!(
+        mw.process_mut().heap_mut().take_finalized().is_empty(),
+        "{what} left finalization records behind"
+    );
+}
+
+#[test]
+fn swap_out_frees_its_victim_without_a_collection() {
+    let mut mw = list_world(None);
+    let root = mw.global("head").unwrap().expect_ref().unwrap();
+    assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), 200);
+    let clusters = mw.manager().loaded_clusters();
+    assert_eq!(clusters.len(), 10);
+    for sc in clusters {
+        let members = mw.manager().cluster(sc).unwrap().members;
+        let gc_before = mw.stats().heap.gc_runs;
+        mw.swap_out(sc).unwrap();
+        assert_no_collection(&mut mw, gc_before, &format!("swap_out({sc})"));
+        let heap = mw.process().heap();
+        assert!(
+            members.iter().all(|&(_, r)| !heap.is_live(r)),
+            "swap_out({sc}) left members on the heap"
+        );
+    }
+    assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), 200);
+    let report = mw.audit();
+    assert!(report.is_clean(), "{report}");
+}
+
+#[test]
+fn a_pump_rule_without_gc_evicts_without_a_collection() {
+    let mut mw = list_world(Some(EVICT_WITHOUT_GC));
+    let root = mw.global("head").unwrap().expect_ref().unwrap();
+    // `replicate_root`'s pump has evicted the root's cluster already.
+    assert_eq!(mw.swap_stats().swap_outs, 1);
+    assert_no_collection(&mut mw, 0, "replicate_root");
+    assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), 200);
+    assert!(mw.swap_stats().swap_outs > 1, "the rule evicted nothing");
+    assert_no_collection(&mut mw, 0, "length");
+    let report = mw.audit();
+    assert!(report.is_clean(), "{report}");
+}
+
+/// The swap-cluster whose members include identity `oid`.
+fn cluster_of(mw: &Middleware, oid: Oid) -> u32 {
+    let manager = mw.manager();
+    manager
+        .loaded_clusters()
+        .into_iter()
+        .find(|&sc| {
+            manager
+                .cluster(sc)
+                .unwrap()
+                .members
+                .iter()
+                .any(|&(o, _)| o == oid)
+        })
+        .unwrap()
+}
+
+#[test]
+fn a_held_victims_collection_drops_dead_replacements_blobs_in_the_same_call() {
+    let mut server = Server::new(standard_classes());
+    let kept = server.build_list("Node", 60, 32).unwrap();
+    let doomed = server.build_list("Node", 60, 32).unwrap();
+    let mut mw = Middleware::builder()
+        .cluster_size(20)
+        .device_memory(1 << 20)
+        .no_builtin_policies()
+        .stores(
+            (0..2)
+                .map(|i| StoreSpec::new(format!("store-{i}"), DeviceKind::Laptop, 1 << 20))
+                .collect(),
+        )
+        .swap_config(SwapConfig::default().replication_factor(2))
+        .build(server);
+    for (name, head) in [("kept", kept), ("doomed", doomed)] {
+        let root = mw.replicate_root(head).unwrap();
+        mw.set_global(name, Value::Ref(root));
+        assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), 60);
+    }
+
+    // Swap out the doomed list's head cluster, then drop the list: its
+    // replacement-object is garbage from here on.
+    let dead = cluster_of(&mw, doomed);
+    mw.swap_out(dead).unwrap();
+    let (_, key, holders) = mw.manager().holders_of(dead).unwrap();
+    assert_eq!(holders.len(), 2);
+    mw.set_global("doomed", Value::Null);
+
+    // A global straight at a member of the next victim (legal, warning
+    // W1): its swap-out cannot free the members at commit and collects.
+    let victim = cluster_of(&mw, kept);
+    let (_, member) = mw.manager().cluster(victim).unwrap().members[0];
+    mw.set_global("pin", Value::Ref(member));
+    let gc_before = mw.stats().heap.gc_runs;
+    mw.swap_out(victim).unwrap();
+
+    assert_eq!(mw.stats().heap.gc_runs - gc_before, 1, "one reclaim");
+    assert!(mw.process_mut().heap_mut().take_finalized().is_empty());
+    {
+        let net = mw.net();
+        let net = net.lock().unwrap();
+        for &holder in &holders {
+            assert!(
+                !net.holds_blob(holder, &key),
+                "holder {holder:?} still stores {key}"
+            );
+        }
+    }
+    assert!(matches!(
+        mw.manager().cluster(dead).unwrap().state,
+        SwapClusterState::Dropped
+    ));
+    let drops = mw
+        .export_trace()
+        .events
+        .iter()
+        .filter(|r| matches!(r.kind, EventKind::BlobDropped { sc, .. } if sc == dead))
+        .count();
+    assert_eq!(drops, 2, "one drop per holder");
+    let report = mw.audit();
+    assert!(!report.has_errors(), "{report}");
+}

@@ -10,9 +10,9 @@
 //! (paper §3, *Integration with GC Mechanisms*).
 //!
 //! [`Heap::free_detached`] is the one way around the trace: the swap
-//! layer's out-of-memory recovery frees a committed victim's members
-//! directly, in the sweep's order, unless a root still holds one of them,
-//! and debug builds re-run the mark to prove none of them was reachable.
+//! layer's swap-out frees a committed victim's members directly, in the
+//! sweep's order, unless a root still holds one of them, and debug builds
+//! re-run the mark to prove none of them was reachable.
 
 use crate::heap::{slot_at, Slot, SlotBody};
 use crate::{ClassId, Heap, ObjRef, ObjectKind, Oid, Value};
@@ -51,9 +51,9 @@ pub struct Finalized {
 impl Heap {
     /// Run a full mark-sweep collection and return its statistics.
     ///
-    /// Typically invoked by the middleware right after detaching a
-    /// swap-cluster (to realize the memory release) or when an allocation
-    /// fails.
+    /// The middleware runs it when an allocation fails, when a policy asks
+    /// for it, and when a root still holds a detached swap-cluster's
+    /// members (see [`Heap::free_detached`]).
     pub fn collect(&mut self) -> CollectStats {
         self.gc_runs += 1;
         let marked = self.mark();
