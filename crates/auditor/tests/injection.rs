@@ -240,9 +240,8 @@ fn d2_corrupted_replacement_is_detected() {
     // Retag the replacement-object as belonging to another cluster.
     mw.process_mut()
         .heap_mut()
-        .get_mut(replacement)
+        .header_mut(replacement)
         .expect("live replacement")
-        .header_mut()
         .swap_cluster = 9;
     assert!(mw.audit().has_errors());
     assert!(fired(&mw).contains(&"D2"), "got {:?}", fired(&mw));
@@ -256,12 +255,22 @@ fn d3_replacement_outbound_mismatch_is_detected() {
         SwapClusterState::SwappedOut { replacement, .. } => replacement,
         ref other => panic!("expected swapped-out, got {other:?}"),
     };
-    // Sneak a non-proxy reference into the replacement's outbound set.
+    // Overwrite one of the replacement's outbound proxies with a
+    // non-proxy reference.
+    let extras = mw
+        .process()
+        .heap()
+        .extra_fields(replacement)
+        .map(<[_]>::len);
+    assert!(
+        extras.expect("live replacement") > 0,
+        "sc2 has no outbound proxy"
+    );
     let stray = members_of(&mw, 1)[0];
     mw.process_mut()
         .heap_mut()
-        .push_extra(replacement, Value::Ref(stray))
-        .expect("push extra");
+        .set_any_field(replacement, 0, Value::Ref(stray))
+        .expect("overwrite an extra");
     assert!(mw.audit().has_errors());
     assert!(fired(&mw).contains(&"D3"), "got {:?}", fired(&mw));
 }
@@ -398,9 +407,8 @@ fn l1_member_record_mismatch_is_detected() {
     // Retag a live member: the loaded cluster's roster now disagrees.
     mw.process_mut()
         .heap_mut()
-        .get_mut(member)
+        .header_mut(member)
         .expect("live member")
-        .header_mut()
         .swap_cluster = 3;
     assert!(mw.audit().has_errors());
     assert!(fired(&mw).contains(&"L1"), "got {:?}", fired(&mw));

@@ -472,7 +472,7 @@ fn decode_object(p: &mut Process, xml: &str) -> Result<ObjRef> {
         .registry
         .class_id(root.require_attr("class")?)?;
     let r = p.heap_mut().alloc(class, ObjectKind::App)?;
-    p.heap_mut().get_mut(r)?.header_mut().oid = oid;
+    p.heap_mut().header_mut(r)?.oid = oid;
     for field in root.children_named("field") {
         let i: usize = field.parse_attr("i")?;
         let kind = field.require_attr("kind")?;

@@ -25,7 +25,7 @@ use crate::manager::{holder_candidates, lock_net, sweep_shard_orphans, SharedNet
 use crate::shard::{lock_coordinator, lock_shard, Coordinator, Shard};
 use crate::swap_cluster::SwapClusterState;
 use crate::{codec, proxy, wire, Result, SwapConfig, SwapError, SwappingManager};
-use obiwan_heap::{ObjRef, ObjectKind, Value};
+use obiwan_heap::{ObjRef, Object, ObjectKind, Value};
 use obiwan_net::{Bytes, DeviceId, DeviceKind, NetError};
 use obiwan_policy::PolicyEvent;
 use obiwan_replication::Process;
@@ -418,19 +418,23 @@ impl SwappingManager {
                 .collect()
         };
 
-        // Build the replacement-object ("simply an array of references").
+        // Build the replacement-object ("simply an array of references")
+        // whole, its outbound proxies as extras, and adopt it in one step:
+        // it exists complete or, on out-of-memory, not at all.
         let mw = p.universe().middleware;
-        let replacement = p
-            .heap_mut()
-            .alloc(mw.replacement, ObjectKind::Replacement)?;
-        {
-            let h = p.heap_mut().get_mut(replacement)?.header_mut();
-            h.swap_cluster = sc;
-            h.finalize = true; // death ⇒ instruct device to drop the blob
+        let layout = p.heap().classes().class(mw.replacement)?.field_count();
+        let mut obj = Object::with_field_count(
+            mw.replacement,
+            ObjectKind::Replacement,
+            layout + outbound.len(),
+        );
+        for (i, op) in outbound.into_iter().enumerate() {
+            obj.set_raw_field(layout + i, Value::Ref(op));
         }
-        for op in outbound {
-            p.heap_mut().push_extra(replacement, Value::Ref(op))?;
-        }
+        let h = obj.header_mut();
+        h.swap_cluster = sc;
+        h.finalize = true; // death ⇒ instruct device to drop the blob
+        let replacement = p.heap_mut().adopt(obj)?;
 
         // Patch inbound proxies: "every swap-cluster referencing objects
         // contained in [the victim] will be made to reference [the

@@ -880,7 +880,7 @@ impl SwappingManager {
         for &m in &info.members {
             let size = p.heap().get(m)?.size();
             bytes += size;
-            let h = p.heap_mut().get_mut(m)?.header_mut();
+            let h = p.heap_mut().header_mut(m)?;
             h.swap_cluster = sc;
             fresh.push((h.oid, m));
         }

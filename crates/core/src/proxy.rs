@@ -8,7 +8,7 @@
 //! mark). These helpers keep all field-id plumbing in one place.
 
 use crate::Result;
-use obiwan_heap::{ObjRef, ObjectKind, Oid, Value};
+use obiwan_heap::{ObjRef, Object, ObjectKind, Oid, Value};
 use obiwan_replication::Process;
 
 /// Read the proxy's current target reference.
@@ -86,40 +86,34 @@ pub fn retarget(p: &mut Process, proxy: ObjRef, target: ObjRef, oid: Oid) -> Res
     let mw = p.universe().middleware;
     // Payload-free slot writes: this is the iteration optimization's hot
     // path (one retarget per loop step in Test B2).
-    p.heap_mut()
-        .set_slot_fast(proxy, mw.sp_target.index(), Value::Ref(target))?;
-    p.heap_mut()
-        .set_slot_fast(proxy, mw.sp_oid.index(), Value::Int(oid.0 as i64))?;
+    let heap = p.heap_mut();
+    heap.set_any_field(proxy, mw.sp_target.index(), Value::Ref(target))?;
+    heap.set_any_field(proxy, mw.sp_oid.index(), Value::Int(oid.0 as i64))?;
     // Keep the header identity in sync so finalizer records name the right
     // (source, target-oid) table entry.
-    p.heap_mut().get_mut(proxy)?.header_mut().oid = oid;
+    heap.header_mut(proxy)?.oid = oid;
     Ok(())
 }
 
 /// Allocate a swap-cluster-proxy mediating `target` (identity `oid`) for
-/// references held by `source_sc`.
+/// references held by `source_sc`: built whole, then adopted in one step.
 ///
 /// # Errors
 ///
 /// Heap errors (notably out-of-memory).
 pub fn create(p: &mut Process, source_sc: u32, target: ObjRef, oid: Oid) -> Result<ObjRef> {
     let mw = p.universe().middleware;
-    let proxy = p.heap_mut().alloc(mw.swap_proxy, ObjectKind::SwapProxy)?;
-    p.heap_mut()
-        .set_slot_fast(proxy, mw.sp_target.index(), Value::Ref(target))?;
-    p.heap_mut()
-        .set_slot_fast(proxy, mw.sp_oid.index(), Value::Int(oid.0 as i64))?;
-    p.heap_mut()
-        .set_slot_fast(proxy, mw.sp_source.index(), Value::Int(source_sc as i64))?;
-    p.heap_mut()
-        .set_slot_fast(proxy, mw.sp_assign.index(), Value::Bool(false))?;
-    {
-        let h = p.heap_mut().get_mut(proxy)?.header_mut();
-        h.oid = oid;
-        h.swap_cluster = source_sc;
-        h.finalize = true; // death must prune the manager's tables
-    }
-    Ok(proxy)
+    let layout = p.heap().classes().class(mw.swap_proxy)?.field_count();
+    let mut proxy = Object::with_field_count(mw.swap_proxy, ObjectKind::SwapProxy, layout);
+    proxy.set_raw_field(mw.sp_target.index(), Value::Ref(target));
+    proxy.set_raw_field(mw.sp_oid.index(), Value::Int(oid.0 as i64));
+    proxy.set_raw_field(mw.sp_source.index(), Value::Int(source_sc as i64));
+    proxy.set_raw_field(mw.sp_assign.index(), Value::Bool(false));
+    let h = proxy.header_mut();
+    h.oid = oid;
+    h.swap_cluster = source_sc;
+    h.finalize = true; // death must prune the manager's tables
+    Ok(p.heap_mut().adopt(proxy)?)
 }
 
 #[cfg(test)]

@@ -378,7 +378,7 @@ impl SwappingManager {
                 },
             };
             p.heap_mut()
-                .set_slot_fast(holder, f.field as usize, Value::Ref(target))?;
+                .set_any_field(holder, f.field as usize, Value::Ref(target))?;
         }
 
         // Pass 3: patch inbound proxies back to the fresh replicas.
@@ -415,7 +415,7 @@ impl SwappingManager {
         // application graph references it, so it is garbage; neutralize its
         // finalizer so its collection does not instruct a second drop.
         if p.heap().is_live(replacement) {
-            p.heap_mut().get_mut(replacement)?.header_mut().finalize = false;
+            p.heap_mut().header_mut(replacement)?.finalize = false;
         }
         {
             let mut net = lock_net(&self.net)?;

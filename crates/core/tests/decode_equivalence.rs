@@ -43,7 +43,7 @@ fn legacy_materialize(reg: &ClassRegistry, blob: &Blob) -> (Heap, Vec<ObjRef>) {
         let class = reg.class_id(&bo.class).unwrap();
         let r = heap.alloc(class, ObjectKind::App).unwrap();
         {
-            let h = heap.get_mut(r).unwrap().header_mut();
+            let h = heap.header_mut(r).unwrap();
             h.oid = bo.oid;
             h.repl_cluster = bo.repl_cluster;
             h.swap_cluster = blob.swap_cluster;

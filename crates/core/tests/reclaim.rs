@@ -2,12 +2,14 @@
 //! explicit `swap_out`, a policy rule that evicts without `<gc/>` — free
 //! their victims at commit without a collection and leave no finalization
 //! record behind, and the one collection a root-held victim costs runs the
-//! finalizers before the call returns. No test here calls `run_gc`.
+//! finalizers before the call returns. A detach refused for lack of room
+//! for its replacement-object leaves no half-built one behind. No test
+//! here calls `run_gc`.
 
 #![allow(clippy::disallowed_methods)] // tests may panic on impossible states
 
-use obiwan_core::{Middleware, StoreSpec, SwapClusterState, SwapConfig};
-use obiwan_heap::{Oid, Value};
+use obiwan_core::{Middleware, StoreSpec, SwapClusterState, SwapConfig, SwapError};
+use obiwan_heap::{HeapError, Oid, Value};
 use obiwan_net::DeviceKind;
 use obiwan_replication::{standard_classes, Server};
 use obiwan_trace::EventKind;
@@ -168,4 +170,53 @@ fn a_held_victims_collection_drops_dead_replacements_blobs_in_the_same_call() {
     assert_eq!(drops, 2, "one drop per holder");
     let report = mw.audit();
     assert!(!report.has_errors(), "{report}");
+}
+
+#[test]
+fn a_detach_refused_for_its_replacement_leaves_no_half_built_one() {
+    let mut mw = list_world(None);
+    let root = mw.global("head").unwrap().expect_ref().unwrap();
+    assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), 200);
+    // The head's cluster holds an outbound proxy to the next cluster, so
+    // its replacement-object is a 24 B base plus at least one 16 B extra.
+    let head = mw.process().heap().get(root).unwrap().header().oid;
+    let sc = cluster_of(&mw, head);
+    let used = mw.process().heap().bytes_used();
+    let capacity = mw.process().heap().capacity();
+    mw.process_mut().heap_mut().set_capacity(used + 24);
+    let live = mw.process().heap().live_objects();
+
+    let err = mw.swap_out(sc).unwrap_err();
+    assert!(
+        matches!(err, SwapError::Heap(HeapError::OutOfMemory { .. })),
+        "expected the heap's out-of-memory error, got {err}"
+    );
+    assert_eq!(
+        mw.process().heap().live_objects(),
+        live,
+        "a half-built replacement-object was left on the heap"
+    );
+    assert!(mw.manager().cluster(sc).unwrap().is_loaded());
+    let events = mw.export_trace().events;
+    assert!(events
+        .iter()
+        .any(|r| matches!(r.kind, EventKind::DetachAbort { sc: s } if s == sc)));
+    let shipped = events
+        .iter()
+        .filter(|r| matches!(r.kind, EventKind::BlobShipped { sc: s, .. } if s == sc))
+        .count();
+    assert!(shipped > 0);
+    let report = mw.audit();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(
+        mw.manager().sweep_orphaned_blobs(),
+        shipped,
+        "every shipped copy is a tracked orphan"
+    );
+
+    // With room again the same cluster swaps out whole.
+    mw.process_mut().heap_mut().set_capacity(capacity);
+    mw.swap_out(sc).unwrap();
+    let report = mw.audit();
+    assert!(report.is_clean(), "{report}");
 }

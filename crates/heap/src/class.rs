@@ -225,9 +225,10 @@ impl ClassBuilder {
         }
     }
 
-    /// Allow objects of this class to grow extra untyped fields appended
-    /// beyond the declared layout (see
-    /// [`Heap::push_extra`](crate::Heap::push_extra)).
+    /// Allow objects of this class to carry extra untyped fields beyond the
+    /// declared layout: build one with more fields than the layout
+    /// ([`Object::with_field_count`](crate::Object::with_field_count)) and
+    /// place it with [`Heap::adopt`](crate::Heap::adopt).
     pub fn variadic(mut self) -> Self {
         self.variadic = true;
         self

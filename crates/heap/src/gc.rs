@@ -256,9 +256,9 @@ mod tests {
     fn pinned_objects_survive_without_roots() {
         let (mut heap, node) = setup();
         let a = heap.alloc(node, ObjectKind::App).unwrap();
-        heap.get_mut(a).unwrap().header_mut().pinned = true;
+        heap.header_mut(a).unwrap().pinned = true;
         assert_eq!(heap.collect().freed_objects, 0);
-        heap.get_mut(a).unwrap().header_mut().pinned = false;
+        heap.header_mut(a).unwrap().pinned = false;
         assert_eq!(heap.collect().freed_objects, 1);
     }
 
@@ -287,7 +287,7 @@ mod tests {
         let (mut heap, node) = setup();
         let a = heap.alloc(node, ObjectKind::Replacement).unwrap();
         {
-            let h = heap.get_mut(a).unwrap().header_mut();
+            let h = heap.header_mut(a).unwrap();
             h.finalize = true;
             h.swap_cluster = 7;
         }
@@ -401,10 +401,10 @@ mod tests {
         // Each way a root can hold slot 4 of the 4 <-> 6 cycle, and a
         // finalizable member: nothing is freed, not even 6, which 4 reaches.
         let holds: [fn(&mut Heap, ObjRef); 4] = [
-            |h, r| h.get_mut(r).unwrap().header_mut().pinned = true,
+            |h, r| h.header_mut(r).unwrap().pinned = true,
             |h, r| h.add_root(r),
             |h, r| h.set_global("leak", Value::Ref(r)),
-            |h, r| h.get_mut(r).unwrap().header_mut().finalize = true,
+            |h, r| h.header_mut(r).unwrap().finalize = true,
         ];
         for (case, hold) in holds.iter().enumerate() {
             let (mut heap, node) = setup();

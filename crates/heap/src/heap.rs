@@ -9,7 +9,7 @@
 //! [`crate::object`]'s inline field store).
 
 use crate::gc::Finalized;
-use crate::object::Object;
+use crate::object::{Object, ObjectHeader};
 use crate::weak::WeakTable;
 use crate::{ClassId, ClassRegistry, FieldId, HeapError, ObjectKind, Result, Value, WeakRef};
 use std::collections::HashMap;
@@ -248,8 +248,11 @@ impl Heap {
     /// [`Object::set_raw_field`]) into the arena, charging its full size —
     /// base, field slots *and* payloads — against capacity in one step.
     ///
-    /// This is the decode-into-arena entry point: the wire decoder fills an
-    /// `Object` straight from the frame and adopts it, instead of allocating
+    /// One of the heap's two write paths, build-then-adopt; the other is
+    /// the private store behind [`Heap::set_field`] and
+    /// [`Heap::set_any_field`]. The wire decoder fills an `Object` straight
+    /// from the frame and adopts it, and the middleware builds its proxies
+    /// and replacement-objects whole the same way, instead of allocating
     /// null fields and re-writing every slot through the accounting. Like
     /// the graph-surgery primitive [`Heap::set_any_field`], adoption does
     /// not type-check field values against the class layout; it does check
@@ -303,12 +306,20 @@ impl Heap {
         }
     }
 
-    /// Mutable access to an object.
+    /// Mutable access to an object's header tag words (kind, identity,
+    /// cluster tags, GC bits). Field values are written only through
+    /// [`Heap::set_field`] and [`Heap::set_any_field`], which keep the
+    /// accounting.
     ///
     /// # Errors
     ///
     /// [`HeapError::InvalidRef`] for dangling or stale handles.
-    pub fn get_mut(&mut self, obj: ObjRef) -> Result<&mut Object> {
+    pub fn header_mut(&mut self, obj: ObjRef) -> Result<&mut ObjectHeader> {
+        Ok(&mut self.object_mut(obj)?.header)
+    }
+
+    /// The live object behind `obj`; never leaves the heap.
+    fn object_mut(&mut self, obj: ObjRef) -> Result<&mut Object> {
         match self.slot_mut(obj.index) {
             Some(Slot {
                 generation,
@@ -330,17 +341,9 @@ impl Heap {
     /// [`HeapError::InvalidRef`] or [`HeapError::FieldIndex`].
     pub fn field(&self, obj: ObjRef, field: FieldId) -> Result<&Value> {
         let o = self.get(obj)?;
-        o.fields.get(field.index()).ok_or_else(|| {
-            let class = self
-                .classes
-                .class(o.class)
-                .map(|c| c.name().to_string())
-                .unwrap_or_default();
-            HeapError::FieldIndex {
-                class,
-                index: field.0,
-            }
-        })
+        o.fields
+            .get(field.index())
+            .ok_or_else(|| self.field_index_error(o.class, field.index()))
     }
 
     /// Read a field by name.
@@ -363,42 +366,15 @@ impl Heap {
     /// [`HeapError::TypeMismatch`], or [`HeapError::OutOfMemory`] when a
     /// larger payload would exceed capacity.
     pub fn set_field(&mut self, obj: ObjRef, field: FieldId, value: Value) -> Result<()> {
-        let capacity = self.capacity;
         let class_id = self.get(obj)?.class;
-        let descriptor = self.classes.class(class_id)?;
-        let kind = descriptor.field(field)?.kind();
+        let kind = self.classes.class(class_id)?.field(field)?.kind();
         if !kind.accepts(&value) {
             return Err(HeapError::TypeMismatch {
                 expected: kind.wire_name(),
                 found: value.kind_name(),
             });
         }
-        // `descriptor.field(...)` above guarantees the index is in range,
-        // so no error (and no eager class-name clone) is needed here.
-        let bytes_used = self.bytes_used;
-        let o = self.get_mut(obj)?;
-        #[allow(clippy::disallowed_methods)]
-        let slot = o
-            .fields
-            .get_mut(field.index())
-            .expect("field id validated against the class layout");
-        let old_payload = slot.payload_size();
-        let new_payload = value.payload_size();
-        if new_payload > old_payload {
-            let growth = new_payload - old_payload;
-            if bytes_used + growth > capacity {
-                return Err(HeapError::OutOfMemory {
-                    requested: growth,
-                    used: bytes_used,
-                    capacity,
-                });
-            }
-        }
-        *slot = value;
-        o.charged_size = o.charged_size + new_payload - old_payload;
-        self.bytes_used = bytes_used + new_payload - old_payload;
-        self.peak_bytes = self.peak_bytes.max(self.bytes_used);
-        Ok(())
+        self.store(obj, field.index(), value)
     }
 
     /// Write a field by name. See [`Heap::set_field`].
@@ -412,33 +388,6 @@ impl Heap {
         self.set_field(obj, id, value)
     }
 
-    /// Fast path for graph surgery: overwrite a field with a payload-free
-    /// value (`Null`, `Int`, `Bool`, `Double`, `Ref`) when the current
-    /// value is also payload-free — no accounting can change, so the class
-    /// lookup and byte bookkeeping are skipped. Falls back to
-    /// [`Heap::set_any_field`] when payloads are involved.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::InvalidRef`] or [`HeapError::FieldIndex`].
-    pub fn set_slot_fast(&mut self, obj: ObjRef, index: usize, value: Value) -> Result<()> {
-        if value.payload_size() != 0 {
-            return self.set_any_field(obj, index, value);
-        }
-        let o = self.get_mut(obj)?;
-        match o.fields.get_mut(index) {
-            Some(slot) if slot.payload_size() == 0 => {
-                *slot = value;
-                Ok(())
-            }
-            Some(_) => self.set_any_field(obj, index, value),
-            None => Err(HeapError::FieldIndex {
-                class: String::new(),
-                index: index.min(u16::MAX as usize) as u16,
-            }),
-        }
-    }
-
     /// Write a field by raw index without layout type checking, covering
     /// both declared fields and the extras of variadic objects. This is the
     /// middleware's graph-surgery primitive (proxy replacement patches any
@@ -450,31 +399,21 @@ impl Heap {
     /// is beyond the object's current fields, or [`HeapError::OutOfMemory`]
     /// when a larger payload would exceed capacity.
     pub fn set_any_field(&mut self, obj: ObjRef, index: usize, value: Value) -> Result<()> {
-        {
-            // Validate first with shared borrows so the hot path below never
-            // clones the class name (the old implementation allocated it on
-            // every call, live or not).
-            let o = self.get(obj)?;
-            if index >= o.fields.len() {
-                let class = self
-                    .classes
-                    .class(o.class)
-                    .map(|c| c.name().to_string())
-                    .unwrap_or_default();
-                return Err(HeapError::FieldIndex {
-                    class,
-                    index: index.min(u16::MAX as usize) as u16,
-                });
-            }
-        }
-        let capacity = self.capacity;
-        let bytes_used = self.bytes_used;
-        let o = self.get_mut(obj)?;
-        #[allow(clippy::disallowed_methods)]
-        let slot = o
-            .fields
-            .get_mut(index)
-            .expect("index validated against the live object above");
+        self.store(obj, index, value)
+    }
+
+    /// The one write into a field of an adopted object: one slot lookup,
+    /// the payload delta charged to the object, `bytes_used` and the peak.
+    /// A refused write (out of memory, bad handle or index) leaves the heap
+    /// unchanged. Graph surgery's common case, a payload-free value over a
+    /// payload-free one, takes no class lookup and changes no byte count.
+    fn store(&mut self, obj: ObjRef, index: usize, value: Value) -> Result<()> {
+        let (capacity, bytes_used) = (self.capacity, self.bytes_used);
+        let o = self.object_mut(obj)?;
+        let Some(slot) = o.fields.get_mut(index) else {
+            let class = o.class;
+            return Err(self.field_index_error(class, index));
+        };
         let old_payload = slot.payload_size();
         let new_payload = value.payload_size();
         if new_payload > old_payload && bytes_used + (new_payload - old_payload) > capacity {
@@ -491,38 +430,18 @@ impl Heap {
         Ok(())
     }
 
-    /// Append an extra (untyped) field to a variadic object. This backs the
-    /// replacement-object, which the paper describes as "simply an array of
-    /// references" holding the victim cluster's outbound proxies alive.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::InvalidRef`], [`HeapError::TypeMismatch`] when the class
-    /// is not variadic, or [`HeapError::OutOfMemory`] when the extra slot
-    /// would exceed capacity.
-    pub fn push_extra(&mut self, obj: ObjRef, value: Value) -> Result<()> {
-        let capacity = self.capacity;
-        let class_id = self.get(obj)?.class;
-        if !self.classes.class(class_id)?.is_variadic() {
-            return Err(HeapError::TypeMismatch {
-                expected: "a variadic class",
-                found: "a fixed-layout class",
-            });
+    /// The out-of-range error for field `index` of an object of `class`,
+    /// naming the class (built only on this cold path).
+    #[cold]
+    fn field_index_error(&self, class: ClassId, index: usize) -> HeapError {
+        HeapError::FieldIndex {
+            class: self
+                .classes
+                .class(class)
+                .map(|c| c.name().to_string())
+                .unwrap_or_default(),
+            index: index.min(u16::MAX as usize) as u16,
         }
-        let growth = crate::object::FIELD_SLOT_SIZE + value.payload_size();
-        if self.bytes_used + growth > capacity {
-            return Err(HeapError::OutOfMemory {
-                requested: growth,
-                used: self.bytes_used,
-                capacity,
-            });
-        }
-        let o = self.get_mut(obj)?;
-        o.fields.push(value);
-        o.charged_size += growth;
-        self.bytes_used += growth;
-        self.peak_bytes = self.peak_bytes.max(self.bytes_used);
-        Ok(())
     }
 
     /// The extra (beyond-layout) fields of a variadic object.
@@ -856,36 +775,71 @@ mod tests {
     }
 
     #[test]
-    fn variadic_push_extra_and_accounting() {
+    fn adopt_charges_each_extra_slot_and_its_payload() {
         let mut reg = ClassRegistry::new();
-        let node = reg.register(ClassBuilder::new("Node").int_field("x"));
-        let arr = reg.register(ClassBuilder::new("Array").variadic());
+        let arr = reg.register(ClassBuilder::new("Array").variadic().int_field("len"));
         let mut heap = Heap::new(reg, 4096);
-        let n = heap.alloc(node, ObjectKind::App).unwrap();
-        let a = heap.alloc(arr, ObjectKind::Replacement).unwrap();
-        let before = heap.bytes_used();
-        heap.push_extra(a, Value::Ref(n)).unwrap();
-        heap.push_extra(a, Value::Ref(n)).unwrap();
-        assert_eq!(heap.extra_fields(a).unwrap().len(), 2);
-        assert!(heap.bytes_used() > before);
-        // Non-variadic classes refuse extras.
-        assert!(matches!(
-            heap.push_extra(n, Value::Int(1)),
-            Err(HeapError::TypeMismatch { .. })
-        ));
+        let base = heap.alloc(arr, ObjectKind::Replacement).unwrap();
+        let base_bytes = heap.bytes_used();
+        let mut obj = Object::with_field_count(arr, ObjectKind::Replacement, 3);
+        assert!(obj.set_raw_field(1, Value::Ref(base)));
+        assert!(obj.set_raw_field(2, Value::Bytes(Bytes::from(vec![0u8; 10]))));
+        let r = heap.adopt(obj).unwrap();
+        assert_eq!(heap.extra_fields(r).unwrap().len(), 2);
+        // Each extra costs one 16-byte slot plus its payload.
+        assert_eq!(heap.bytes_used(), 2 * base_bytes + 2 * 16 + 10);
+        assert_eq!(heap.stats().peak_bytes, heap.bytes_used());
     }
 
     #[test]
-    fn push_extra_respects_capacity() {
+    fn adopt_refuses_extras_past_capacity_and_leaves_the_heap_unchanged() {
         let mut reg = ClassRegistry::new();
         let arr = reg.register(ClassBuilder::new("Array").variadic());
-        let mut heap = Heap::new(reg, 40); // room for base (24) + one slot (16)
-        let a = heap.alloc(arr, ObjectKind::Replacement).unwrap();
-        heap.push_extra(a, Value::Int(1)).unwrap();
+        let mut heap = Heap::new(reg, 64); // base (24) + two slots (32), not three
+        let fits = Object::with_field_count(arr, ObjectKind::Replacement, 2);
+        let r = heap.adopt(fits).unwrap();
+        heap.free_slot(r.index);
+        let before = (
+            heap.bytes_used(),
+            heap.live_objects(),
+            heap.stats().peak_bytes,
+        );
         assert!(matches!(
-            heap.push_extra(a, Value::Int(2)),
-            Err(HeapError::OutOfMemory { .. })
+            heap.adopt(Object::with_field_count(arr, ObjectKind::Replacement, 3)),
+            Err(HeapError::OutOfMemory { requested: 72, .. })
         ));
+        assert_eq!(
+            (
+                heap.bytes_used(),
+                heap.live_objects(),
+                heap.stats().peak_bytes
+            ),
+            before
+        );
+    }
+
+    #[test]
+    fn out_of_range_stores_name_the_class_and_change_nothing() {
+        let mut reg = ClassRegistry::new();
+        let node = reg.register(ClassBuilder::new("Node").int_field("x"));
+        let arr = reg.register(ClassBuilder::new("Array").variadic().int_field("len"));
+        let mut heap = Heap::new(reg, 4096);
+        let n = heap.alloc(node, ObjectKind::App).unwrap();
+        let a = heap
+            .adopt(Object::with_field_count(arr, ObjectKind::Replacement, 2))
+            .unwrap();
+        for (obj, class) in [(n, "Node"), (a, "Array")] {
+            let before = (heap.bytes_used(), heap.get(obj).unwrap().clone());
+            let errors = [
+                heap.set_field(obj, FieldId(5), Value::Int(1)).unwrap_err(),
+                heap.set_any_field(obj, 5, Value::Int(1)).unwrap_err(),
+            ];
+            for e in errors {
+                assert!(matches!(e, HeapError::FieldIndex { .. }), "{e:?}");
+                assert!(e.to_string().contains(&format!("`{class}`")), "{e}");
+            }
+            assert_eq!((heap.bytes_used(), heap.get(obj).unwrap().clone()), before);
+        }
     }
 
     #[test]

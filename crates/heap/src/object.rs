@@ -153,23 +153,6 @@ impl FieldStore {
             FieldStore::Spilled(v) => v.get_mut(index),
         }
     }
-
-    /// Append one value, spilling to a `Vec` when the inline array is full.
-    pub(crate) fn push(&mut self, value: Value) {
-        match self {
-            FieldStore::Inline { len, slots } if (*len as usize) < INLINE_FIELDS => {
-                slots[*len as usize] = value;
-                *len += 1;
-            }
-            FieldStore::Inline { len, slots } => {
-                let mut spilled = Vec::with_capacity(*len as usize + 1);
-                spilled.extend(slots.iter_mut().map(std::mem::take));
-                spilled.push(value);
-                *self = FieldStore::Spilled(spilled);
-            }
-            FieldStore::Spilled(v) => v.push(value),
-        }
-    }
 }
 
 impl PartialEq for FieldStore {
@@ -205,12 +188,15 @@ impl Object {
         }
     }
 
-    /// Construct a detached object for arena materialization: the zero-copy
-    /// decode path builds objects field by field *outside* any heap and
-    /// hands the finished value to [`crate::Heap::adopt`], which charges the
-    /// whole object against capacity in one step.
+    /// Construct a detached object, one not in any heap yet: the decode
+    /// path and the middleware's proxy and replacement-object builders fill
+    /// it outside the heap and hand the finished value to
+    /// [`crate::Heap::adopt`], which charges the whole object against
+    /// capacity in one step.
     ///
     /// All fields start `Null`; fill them with [`Object::set_raw_field`].
+    /// Once adopted, an object's fields change only through
+    /// [`crate::Heap::set_field`] and [`crate::Heap::set_any_field`].
     #[inline]
     pub fn with_field_count(class: ClassId, kind: ObjectKind, field_count: usize) -> Self {
         Object::new(class, kind, field_count)
@@ -218,8 +204,9 @@ impl Object {
 
     /// Write a raw field slot on a detached object — no layout type
     /// checking and no accounting, because the object is not charged to any
-    /// heap yet ([`crate::Heap::adopt`] charges its final size). Returns
-    /// `false` when `index` is out of range.
+    /// heap yet ([`crate::Heap::adopt`] charges its final size). Only an
+    /// unadopted object can reach this call: the heap hands out no
+    /// `&mut Object`. Returns `false` when `index` is out of range.
     #[inline]
     pub fn set_raw_field(&mut self, index: usize, value: Value) -> bool {
         match self.fields.get_mut(index) {
@@ -237,7 +224,9 @@ impl Object {
         &self.header
     }
 
-    /// Mutable access to the header tag words.
+    /// Mutable access to the header tag words of a detached object; an
+    /// adopted object's header is reached through
+    /// [`crate::Heap::header_mut`].
     #[inline]
     pub fn header_mut(&mut self) -> &mut ObjectHeader {
         &mut self.header
@@ -309,33 +298,18 @@ mod tests {
 
     #[test]
     fn field_store_spills_past_inline_capacity() {
-        let mut s = FieldStore::with_nulls(2);
-        assert!(matches!(s, FieldStore::Inline { .. }));
-        assert_eq!(s.len(), 2);
-        s.push(Value::Int(1));
-        s.push(Value::Int(2));
+        let mut s = FieldStore::with_nulls(4);
         assert!(matches!(s, FieldStore::Inline { .. }), "4 fit inline");
-        s.push(Value::Int(3));
-        assert!(matches!(s, FieldStore::Spilled(_)), "5th spills");
-        assert_eq!(
-            s.as_slice(),
-            &[
-                Value::Null,
-                Value::Null,
-                Value::Int(1),
-                Value::Int(2),
-                Value::Int(3)
-            ]
-        );
+        assert_eq!(s.len(), 4);
+        assert!(s.get_mut(3).map(|v| *v = Value::Int(3)).is_some());
+        assert!(s.get_mut(4).is_none(), "slots past len are unobservable");
+        assert_eq!(s.get(3), Some(&Value::Int(3)));
         // Wide layouts spill from the start.
-        let wide = FieldStore::with_nulls(9);
-        assert!(matches!(wide, FieldStore::Spilled(_)));
-        assert_eq!(wide.len(), 9);
+        let wide = FieldStore::with_nulls(5);
+        assert!(matches!(wide, FieldStore::Spilled(_)), "5th spills");
+        assert_eq!(wide.len(), 5);
         // Equality is by content, not representation.
-        let mut inline = FieldStore::with_nulls(0);
-        for _ in 0..3 {
-            inline.push(Value::Null);
-        }
-        assert_eq!(inline, FieldStore::with_nulls(3));
+        let spilled = FieldStore::Spilled(vec![Value::Null; 3]);
+        assert_eq!(spilled, FieldStore::with_nulls(3));
     }
 }

@@ -71,13 +71,16 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// `None` for the infallible probes) — and never a live object's data.
 fn assert_stale(heap: &mut Heap, s: ObjRef) {
     assert!(matches!(heap.get(s), Err(HeapError::InvalidRef { .. })));
-    assert!(matches!(heap.get_mut(s), Err(HeapError::InvalidRef { .. })));
+    assert!(matches!(
+        heap.header_mut(s),
+        Err(HeapError::InvalidRef { .. })
+    ));
     assert!(matches!(
         heap.set_any_field(s, 0, Value::Null),
         Err(HeapError::InvalidRef { .. })
     ));
     assert!(matches!(
-        heap.set_slot_fast(s, 0, Value::Null),
+        heap.set_any_field(s, 2, Value::Bytes(Bytes::from_static(b"x"))),
         Err(HeapError::InvalidRef { .. })
     ));
     assert!(matches!(

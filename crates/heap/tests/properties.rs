@@ -1,12 +1,16 @@
 //! Property-based tests for heap invariants: accounting never drifts,
-//! generational handles never alias, GC is precise with respect to the
-//! reachable set computed independently.
+//! a refused store or adoption changes nothing, generational handles never
+//! alias, GC is precise with respect to the reachable set computed
+//! independently.
 
 // Tests assert on known-good setups; panicking on failure is the point.
 #![allow(clippy::disallowed_methods)]
 
 use bytes::Bytes;
-use obiwan_heap::{ClassBuilder, ClassRegistry, Heap, ObjRef, ObjectKind, Value};
+use obiwan_heap::{
+    ClassBuilder, ClassRegistry, Heap, HeapError, HeapStats, ObjRef, Object, ObjectKind, Result,
+    Value,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -26,13 +30,33 @@ fn registry() -> (ClassRegistry, obiwan_heap::ClassId, obiwan_heap::ClassId) {
 enum Op {
     Alloc,
     AllocArray,
-    LinkAToB { from: usize, to: usize },
-    Unlink { from: usize },
-    SetPayload { at: usize, len: usize },
-    SetAnyPayload { at: usize, len: usize },
-    SetSlotFast { at: usize, v: i64 },
-    PushExtra { at: usize, to: usize },
-    RootToggle { at: usize },
+    LinkAToB {
+        from: usize,
+        to: usize,
+    },
+    Unlink {
+        from: usize,
+    },
+    SetPayload {
+        at: usize,
+        len: usize,
+    },
+    SetAnyPayload {
+        at: usize,
+        len: usize,
+    },
+    SetScalar {
+        at: usize,
+        v: i64,
+    },
+    AdoptArray {
+        to: usize,
+        extras: usize,
+        len: usize,
+    },
+    RootToggle {
+        at: usize,
+    },
     Collect,
 }
 
@@ -48,9 +72,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
         1 => (any::<prop::sample::Index>(), 0usize..200)
             .prop_map(|(i, len)| Op::SetAnyPayload { at: i.index(usize::MAX - 1), len }),
         1 => (any::<prop::sample::Index>(), any::<i64>())
-            .prop_map(|(i, v)| Op::SetSlotFast { at: i.index(usize::MAX - 1), v }),
-        1 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
-            .prop_map(|(a, b)| Op::PushExtra { at: a.index(usize::MAX - 1), to: b.index(usize::MAX - 1) }),
+            .prop_map(|(i, v)| Op::SetScalar { at: i.index(usize::MAX - 1), v }),
+        1 => (any::<prop::sample::Index>(), 0usize..6, 0usize..64)
+            .prop_map(|(b, extras, len)| Op::AdoptArray { to: b.index(usize::MAX - 1), extras, len }),
         2 => any::<prop::sample::Index>().prop_map(|i| Op::RootToggle { at: i.index(usize::MAX - 1) }),
         1 => Just(Op::Collect),
     ]
@@ -83,73 +107,129 @@ fn reachable(heap: &Heap, roots: &[ObjRef]) -> HashSet<u32> {
     seen
 }
 
+/// The capacity no op sequence here can fill.
+const ROOMY: usize = 1 << 20;
+
+/// Check a store's outcome: a success, or an out-of-memory refusal (never
+/// at [`ROOMY`]) that left the accounting and the written field as they
+/// were.
+fn check_store(
+    heap: &Heap,
+    before: HeapStats,
+    (obj, index, old): (ObjRef, usize, Value),
+    out: Result<()>,
+) -> std::result::Result<(), TestCaseError> {
+    match out {
+        Ok(()) => {}
+        Err(HeapError::OutOfMemory { .. }) if before.capacity < ROOMY => {
+            prop_assert_eq!(heap.stats(), before, "a refused store changed the heap");
+            prop_assert_eq!(&heap.get(obj).unwrap().fields()[index], &old);
+        }
+        Err(e) => return Err(TestCaseError::fail(format!("unexpected store error {e}"))),
+    }
+    Ok(())
+}
+
+/// Check an adoption's outcome: the new handle, or `None` after an
+/// out-of-memory refusal (never at [`ROOMY`]) that left the heap as it was.
+fn check_adopt(
+    heap: &Heap,
+    before: HeapStats,
+    out: Result<ObjRef>,
+) -> std::result::Result<Option<ObjRef>, TestCaseError> {
+    match out {
+        Ok(r) => Ok(Some(r)),
+        Err(HeapError::OutOfMemory { .. }) if before.capacity < ROOMY => {
+            prop_assert_eq!(heap.stats(), before, "a refused adoption changed the heap");
+            prop_assert_eq!(heap.iter_live().count(), before.live_objects);
+            Ok(None)
+        }
+        Err(e) => Err(TestCaseError::fail(format!(
+            "unexpected adoption error {e}"
+        ))),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn accounting_and_gc_invariants(ops in prop::collection::vec(arb_op(), 1..120)) {
+    fn accounting_and_gc_invariants(
+        capacity in prop_oneof![Just(512usize), Just(ROOMY)],
+        ops in prop::collection::vec(arb_op(), 1..120),
+    ) {
         let (reg, node, array) = registry();
-        let mut heap = Heap::new(reg, 1 << 20);
+        let mut heap = Heap::new(reg, capacity);
         // Handles we've allocated, live or not; rooted subset tracked in parallel.
         let mut handles: Vec<ObjRef> = Vec::new();
         let mut rooted: Vec<ObjRef> = Vec::new();
 
         for op in ops {
-            match op {
+            let before = heap.stats();
+            // The object an op writes, if live, with the field's old value.
+            let target = |at: usize, index: usize| {
+                let f = handles[at % handles.len()];
+                let o = heap.get(f).ok()?;
+                Some((f, index, o.fields().get(index)?.clone()))
+            };
+            let store = match op {
                 Op::Alloc => {
-                    let r = heap.alloc(node, ObjectKind::App).unwrap();
-                    handles.push(r);
+                    let out = heap.alloc(node, ObjectKind::App);
+                    handles.extend(check_adopt(&heap, before, out)?);
+                    None
                 }
                 Op::AllocArray => {
-                    let r = heap.alloc(array, ObjectKind::Replacement).unwrap();
-                    handles.push(r);
+                    let out = heap.alloc(array, ObjectKind::Replacement);
+                    handles.extend(check_adopt(&heap, before, out)?);
+                    None
                 }
-                Op::SetAnyPayload { at, len } if !handles.is_empty() => {
-                    let f = handles[at % handles.len()];
-                    if heap.is_live(f) {
-                        // Index 0 is a payload-capable field on both classes
-                        // (`a` is Ref on Node — type is NOT checked by
-                        // set_any_field, which is exactly what the graph
-                        // surgery relies on; accounting must still hold).
-                        heap.set_any_field(f, 0, Value::Bytes(Bytes::from(vec![1u8; len])))
-                            .unwrap();
+                Op::AdoptArray { to, extras, len } => {
+                    // A variadic object built whole: its extras point at one
+                    // handle (live or stale: adoption does not trace) and
+                    // its declared field carries a payload.
+                    let mut obj = Object::with_field_count(array, ObjectKind::Replacement, 1 + extras);
+                    prop_assert!(obj.set_raw_field(0, Value::Bytes(Bytes::from(vec![2u8; len]))));
+                    if !handles.is_empty() {
+                        let t = handles[to % handles.len()];
+                        for i in 1..=extras {
+                            prop_assert!(obj.set_raw_field(i, Value::Ref(t)));
+                        }
                     }
+                    let out = heap.adopt(obj);
+                    if let Some(r) = check_adopt(&heap, before, out)? {
+                        prop_assert_eq!(heap.extra_fields(r).unwrap().len(), extras);
+                        handles.push(r);
+                    }
+                    None
                 }
-                Op::SetSlotFast { at, v } if !handles.is_empty() => {
-                    let f = handles[at % handles.len()];
-                    if heap.is_live(f) {
-                        heap.set_slot_fast(f, 0, Value::Int(v)).unwrap();
-                    }
-                }
-                Op::PushExtra { at, to } if !handles.is_empty() => {
-                    let f = handles[at % handles.len()];
-                    let t = handles[to % handles.len()];
-                    if heap.is_live(f) && heap.is_live(t) {
-                        let variadic = heap.get(f).unwrap().kind() == ObjectKind::Replacement;
-                        let out = heap.push_extra(f, Value::Ref(t));
-                        prop_assert_eq!(out.is_ok(), variadic);
-                    }
+                // Index 0 is a payload-capable field on both classes (`a` is
+                // Ref on Node — type is NOT checked by set_any_field, which
+                // is exactly what the graph surgery relies on; accounting
+                // must still hold).
+                Op::SetAnyPayload { at, len } if !handles.is_empty() => target(at, 0)
+                    .map(|t| (t, Value::Bytes(Bytes::from(vec![1u8; len])))),
+                Op::SetScalar { at, v } if !handles.is_empty() => {
+                    target(at, 0).map(|t| (t, Value::Int(v)))
                 }
                 Op::LinkAToB { from, to } if !handles.is_empty() => {
-                    let f = handles[from % handles.len()];
                     let t = handles[to % handles.len()];
-                    if heap.is_live(f) && heap.is_live(t) {
-                        heap.set_any_field(f, 0, Value::Ref(t)).unwrap();
-                    }
+                    target(from, 0)
+                        .filter(|_| heap.is_live(t))
+                        .map(|f| (f, Value::Ref(t)))
                 }
                 Op::Unlink { from } if !handles.is_empty() => {
-                    let f = handles[from % handles.len()];
-                    if heap.is_live(f) {
-                        heap.set_any_field(f, 0, Value::Null).unwrap();
-                    }
+                    target(from, 0).map(|t| (t, Value::Null))
                 }
                 Op::SetPayload { at, len } if !handles.is_empty() => {
-                    let f = handles[at % handles.len()];
-                    if heap.is_live(f)
-                        && heap.get(f).unwrap().kind() == ObjectKind::App
-                    {
-                        heap.set_field_by_name(f, "payload", Value::Bytes(Bytes::from(vec![0u8; len]))).unwrap();
+                    let payload = Value::Bytes(Bytes::from(vec![0u8; len]));
+                    match target(at, 2) {
+                        Some(t) if heap.get(t.0).unwrap().kind() == ObjectKind::App => {
+                            let out = heap.set_field_by_name(t.0, "payload", payload);
+                            check_store(&heap, before, t, out)?;
+                        }
+                        _ => {}
                     }
+                    None
                 }
                 Op::RootToggle { at } if !handles.is_empty() => {
                     let f = handles[at % handles.len()];
@@ -160,6 +240,7 @@ proptest! {
                         heap.add_root(f);
                         rooted.push(f);
                     }
+                    None
                 }
                 Op::Collect => {
                     let expected_live = reachable(&heap, &rooted);
@@ -169,12 +250,18 @@ proptest! {
                     prop_assert_eq!(&actual_live, &expected_live,
                         "GC must free exactly the unreachable objects");
                     rooted.retain(|r| heap.is_live(*r));
+                    None
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some((t, value)) = store {
+                let out = heap.set_any_field(t.0, t.1, value);
+                check_store(&heap, before, t, out)?;
             }
             // Invariant: accounting equals a from-scratch recomputation.
             prop_assert_eq!(heap.bytes_used(), recomputed_bytes(&heap));
             prop_assert_eq!(heap.live_objects(), heap.iter_live().count());
+            prop_assert!(heap.stats().peak_bytes >= heap.bytes_used());
         }
     }
 

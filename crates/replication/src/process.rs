@@ -4,7 +4,7 @@ use crate::methods::{
     Universe, FAULT_PROXY_CLASS_NAME, REPLACEMENT_CLASS_NAME, SWAP_PROXY_CLASS_NAME,
 };
 use crate::{ReplError, ReplicationEvent, Result, SharedServer, WireValue};
-use obiwan_heap::{FieldId, Heap, ObjRef, ObjectKind, Oid, Value};
+use obiwan_heap::{FieldId, Heap, ObjRef, Object, ObjectKind, Oid, Value};
 use std::collections::HashMap;
 
 /// Public name of the object-fault proxy class (see [`crate::Universe`]).
@@ -650,7 +650,7 @@ impl Process {
         for w in &wire {
             match self.heap.alloc(w.class, ObjectKind::App) {
                 Ok(r) => {
-                    let h = self.heap.get_mut(r)?.header_mut();
+                    let h = self.heap.header_mut(r)?;
                     h.oid = w.oid;
                     h.repl_cluster = repl_cluster;
                     self.oid_map.insert(w.oid, r);
@@ -835,10 +835,11 @@ impl Process {
             self.fault_proxies.remove(&oid);
         }
         let mw = self.universe.middleware;
-        let p = self.heap.alloc(mw.fault_proxy, ObjectKind::FaultProxy)?;
-        self.heap
-            .set_field(p, mw.fp_oid, Value::Int(oid.0 as i64))?;
-        self.heap.get_mut(p)?.header_mut().oid = oid;
+        let layout = self.heap.classes().class(mw.fault_proxy)?.field_count();
+        let mut proxy = Object::with_field_count(mw.fault_proxy, ObjectKind::FaultProxy, layout);
+        proxy.set_raw_field(mw.fp_oid.index(), Value::Int(oid.0 as i64));
+        proxy.header_mut().oid = oid;
+        let p = self.heap.adopt(proxy)?;
         self.fault_proxies.insert(oid, p);
         Ok(p)
     }

@@ -109,8 +109,9 @@ impl Server {
         let r = self.heap.alloc(class, ObjectKind::App)?;
         let oid = Oid(self.next_oid);
         self.next_oid += 1;
-        self.heap.get_mut(r)?.header_mut().oid = oid;
-        self.heap.get_mut(r)?.header_mut().pinned = true; // masters never die
+        let h = self.heap.header_mut(r)?;
+        h.oid = oid;
+        h.pinned = true; // masters never die
         self.oid_map.insert(oid, r);
         Ok(oid)
     }
