@@ -234,7 +234,7 @@ fn d2_corrupted_replacement_is_detected() {
     let (mut mw, _root) = warm_middleware(40, 10);
     mw.swap_out(2).expect("swap out sc2");
     let replacement = match mw.manager().cluster(2).expect("entry").state {
-        SwapClusterState::SwappedOut { replacement, .. } => replacement,
+        SwapClusterState::SwappedOut { replacement } => replacement,
         ref other => panic!("expected swapped-out, got {other:?}"),
     };
     // Retag the replacement-object as belonging to another cluster.
@@ -252,7 +252,7 @@ fn d3_replacement_outbound_mismatch_is_detected() {
     let (mut mw, _root) = warm_middleware(40, 10);
     mw.swap_out(2).expect("swap out sc2");
     let replacement = match mw.manager().cluster(2).expect("entry").state {
-        SwapClusterState::SwappedOut { replacement, .. } => replacement,
+        SwapClusterState::SwappedOut { replacement } => replacement,
         ref other => panic!("expected swapped-out, got {other:?}"),
     };
     // Overwrite one of the replacement's outbound proxies with a
@@ -279,12 +279,8 @@ fn d3_replacement_outbound_mismatch_is_detected() {
 fn d4_missing_blob_is_detected() {
     let (mut mw, _root) = warm_middleware(40, 10);
     mw.swap_out(2).expect("swap out sc2");
-    let (device, key) = match mw.manager().cluster(2).expect("entry").state {
-        SwapClusterState::SwappedOut {
-            device, ref key, ..
-        } => (device, key.clone()),
-        ref other => panic!("expected swapped-out, got {other:?}"),
-    };
+    let (key, holders) = holders_of(&mw, 2);
+    let device = holders[0];
     let home = mw.home_device();
     mw.net()
         .lock()
@@ -299,10 +295,7 @@ fn d4_missing_blob_is_detected() {
 fn d5_departed_store_is_a_warning_not_an_error() {
     let (mut mw, _root) = warm_middleware(40, 10);
     mw.swap_out(2).expect("swap out sc2");
-    let device = match mw.manager().cluster(2).expect("entry").state {
-        SwapClusterState::SwappedOut { device, .. } => device,
-        ref other => panic!("expected swapped-out, got {other:?}"),
-    };
+    let device = holders_of(&mw, 2).1[0];
     mw.net()
         .lock()
         .expect("net")

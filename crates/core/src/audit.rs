@@ -100,7 +100,8 @@ pub enum Rule {
     /// live outbound proxies.
     ReplacementOutboundMismatch,
     /// `D4` — the storing device is present but no longer holds the blob
-    /// backing a swapped-out cluster.
+    /// backing a swapped-out cluster, or no placement lists the cluster's
+    /// copies at all.
     MissingBlob,
     /// `D5` — a holder of a swapped-out cluster's blob is not currently
     /// present in the world (reload fails over to the remaining holders,
@@ -200,6 +201,18 @@ impl Violation {
     /// The severity class (delegates to the rule).
     pub fn severity(&self) -> Severity {
         self.rule.severity()
+    }
+
+    /// A violation about swap-cluster `sc` as a whole (no subject object).
+    fn of_cluster(rule: Rule, sc: u32, detail: String) -> Self {
+        Violation {
+            rule,
+            swap_cluster: Some(sc),
+            subject: None,
+            oid: None,
+            path: vec![sc],
+            detail,
+        }
     }
 }
 
@@ -363,7 +376,7 @@ impl AuditState {
         // Members of swapped-out clusters: oid -> (cluster, replacement).
         let mut swapped_members: HashMap<Oid, (u32, ObjRef)> = HashMap::new();
         for (&sc, entry) in &self.clusters {
-            if let SwapClusterState::SwappedOut { replacement, .. } = entry.state {
+            if let SwapClusterState::SwappedOut { replacement } = entry.state {
                 for &(oid, _) in &entry.members {
                     swapped_members.insert(oid, (sc, replacement));
                 }
@@ -377,23 +390,6 @@ impl AuditState {
         self.audit_clusters(p, &mut report);
         self.audit_blobs(net, &mut report);
         report
-    }
-
-    /// The holder set backing swap-cluster `sc` (mirrors
-    /// `Shard::holders_of` over the merged tables).
-    fn holders_of(&self, sc: u32) -> Option<(u32, String, Vec<DeviceId>)> {
-        if let Some((epoch, p)) = self.placements.active(sc) {
-            return Some((epoch, p.key.clone(), p.holders.clone()));
-        }
-        let entry = self.clusters.get(&sc)?;
-        if let SwapClusterState::SwappedOut {
-            device, ref key, ..
-        } = entry.state
-        {
-            Some((entry.epoch.wrapping_sub(1), key.clone(), vec![device]))
-        } else {
-            None
-        }
     }
 
     /// Boundary soundness over every live heap object (rules B1–B3, D1).
@@ -535,7 +531,7 @@ impl AuditState {
             ObjectKind::Replacement => {
                 // Must be the current stand-in of its (swapped-out) cluster.
                 let current = self.clusters.get(&t_sc).and_then(|e| match e.state {
-                    SwapClusterState::SwappedOut { replacement, .. } => Some(replacement),
+                    SwapClusterState::SwappedOut { replacement } => Some(replacement),
                     _ => None,
                 });
                 if current != Some(target) {
@@ -775,22 +771,19 @@ impl AuditState {
                         }
                     }
                 }
-                SwapClusterState::SwappedOut { replacement, .. } => {
+                SwapClusterState::SwappedOut { replacement } => {
                     self.audit_swapped_cluster(p, sc, *replacement, report);
                 }
                 SwapClusterState::Dropped => {
                     if !entry.members.is_empty() {
-                        report.violations.push(Violation {
-                            rule: Rule::DroppedNotCleared,
-                            swap_cluster: Some(sc),
-                            subject: None,
-                            oid: None,
-                            path: vec![sc],
-                            detail: format!(
+                        report.violations.push(Violation::of_cluster(
+                            Rule::DroppedNotCleared,
+                            sc,
+                            format!(
                                 "dropped cluster still lists {} member(s)",
                                 entry.members.len()
                             ),
-                        });
+                        ));
                     }
                 }
             }
@@ -933,103 +926,91 @@ impl AuditState {
             if !matches!(entry.state, SwapClusterState::SwappedOut { .. }) {
                 continue;
             }
-            let Some((_, key, holders)) = self.holders_of(sc) else {
+            let Some((_, placement)) = self.placements.active(sc) else {
+                report.violations.push(Violation::of_cluster(
+                    Rule::MissingBlob,
+                    sc,
+                    format!("sc{sc} is swapped out but no placement lists its copies"),
+                ));
                 continue;
             };
+            let (key, holders) = (&placement.key, &placement.holders);
             // Reachable = present and holding the bytes; possible adds
             // departed holders, which may return with their copy intact.
             let mut reachable = 0usize;
             let mut possible = 0usize;
-            for &device in &holders {
+            for &device in holders {
                 expected.insert((device, key.clone()));
                 if !net.is_present(device) {
                     possible += 1;
-                    report.violations.push(Violation {
-                        rule: Rule::StoreUnreachable,
-                        swap_cluster: Some(sc),
-                        subject: None,
-                        oid: None,
-                        path: vec![sc],
-                        detail: format!(
+                    report.violations.push(Violation::of_cluster(
+                        Rule::StoreUnreachable,
+                        sc,
+                        format!(
                             "holder {device:?} of sc{sc} is not present \
                              (reload fails over to the remaining holders)"
                         ),
-                    });
-                } else if !net.holds_blob(device, &key) {
-                    report.violations.push(Violation {
-                        rule: Rule::MissingBlob,
-                        swap_cluster: Some(sc),
-                        subject: None,
-                        oid: None,
-                        path: vec![sc],
-                        detail: format!(
+                    ));
+                } else if !net.holds_blob(device, key) {
+                    report.violations.push(Violation::of_cluster(
+                        Rule::MissingBlob,
+                        sc,
+                        format!(
                             "device {device:?} is present but no longer holds blob \
                              `{key}` backing sc{sc}"
                         ),
-                    });
+                    ));
                 } else {
                     reachable += 1;
                     possible += 1;
-                    if let Some(data) = net.blob_data(device, &key) {
+                    if let Some(data) = net.blob_data(device, key) {
                         // D6: the copy is there — its self-describing
                         // header must decode and name this cluster (any
                         // wire format).
                         match crate::wire::peek_header(&data) {
                             Ok(header) if header.swap_cluster == sc => {}
-                            Ok(header) => report.violations.push(Violation {
-                                rule: Rule::BlobHeaderMismatch,
-                                swap_cluster: Some(sc),
-                                subject: None,
-                                oid: None,
-                                path: vec![sc],
-                                detail: format!(
+                            Ok(header) => report.violations.push(Violation::of_cluster(
+                                Rule::BlobHeaderMismatch,
+                                sc,
+                                format!(
                                     "blob `{key}` backing sc{sc} on {device:?} names \
                                      sc{} in its header (reload would refuse it)",
                                     header.swap_cluster
                                 ),
-                            }),
-                            Err(e) => report.violations.push(Violation {
-                                rule: Rule::BlobHeaderMismatch,
-                                swap_cluster: Some(sc),
-                                subject: None,
-                                oid: None,
-                                path: vec![sc],
-                                detail: format!(
+                            )),
+                            Err(e) => report.violations.push(Violation::of_cluster(
+                                Rule::BlobHeaderMismatch,
+                                sc,
+                                format!(
                                     "blob `{key}` backing sc{sc} on {device:?} has \
                                      an undecodable header: {e}"
                                 ),
-                            }),
+                            )),
                         }
                     }
                 }
             }
             if possible == 0 {
-                report.violations.push(Violation {
-                    rule: Rule::AllHoldersLost,
-                    swap_cluster: Some(sc),
-                    subject: None,
-                    oid: None,
-                    path: vec![sc],
-                    detail: format!(
+                report.violations.push(Violation::of_cluster(
+                    Rule::AllHoldersLost,
+                    sc,
+                    format!(
                         "all {} holder(s) of blob `{key}` backing sc{sc} are \
                          present yet blobless — no copy can ever be served",
                         holders.len()
                     ),
-                });
+                ));
             } else if reachable < self.replication_factor {
-                report.violations.push(Violation {
-                    rule: Rule::UnderReplicated,
-                    swap_cluster: Some(sc),
-                    subject: None,
-                    oid: None,
-                    path: vec![sc],
-                    detail: format!(
+                report.violations.push(Violation::of_cluster(
+                    Rule::UnderReplicated,
+                    sc,
+                    format!(
                         "sc{sc} has {reachable} reachable cop(y/ies) of blob \
                          `{key}`, below the configured replication factor {} \
                          (repair sweep pending)",
                         self.replication_factor
                     ),
-                });
+                ));
             }
         }
         let tracked_orphans: HashSet<(DeviceId, &str)> = self
@@ -1113,6 +1094,24 @@ mod tests {
         assert!(report.has_errors(), "{report}");
         assert!(
             report.errors().any(|v| v.rule == Rule::DroppedNotCleared),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn d4_swapped_out_cluster_without_a_placement_is_detected() {
+        let mut mw = warmed();
+        mw.swap_out(2).expect("swap out");
+        {
+            let manager = mw.manager();
+            let mut shard = lock_shard(&manager.shards, manager.shard_of(2)).expect("shard");
+            shard.placements.remove(2).expect("placed");
+        }
+        let report = mw.audit();
+        assert!(
+            report
+                .errors()
+                .any(|v| v.rule == Rule::MissingBlob && v.swap_cluster == Some(2)),
             "{report}"
         );
     }

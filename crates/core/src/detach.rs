@@ -21,12 +21,14 @@
 //! hierarchy: prepare takes shard → net, ship takes net alone, commit
 //! takes coordinator → shard.
 
-use crate::manager::{holder_candidates, lock_net, sweep_shard_orphans, SharedNet};
+use crate::manager::{
+    holder_candidates, lock_net, store_refused, sweep_shard_orphans, Reach, SharedNet,
+};
 use crate::shard::{lock_coordinator, lock_shard, Coordinator, Shard};
 use crate::swap_cluster::SwapClusterState;
 use crate::{codec, proxy, wire, Result, SwapConfig, SwapError, SwappingManager};
 use obiwan_heap::{ObjRef, Object, ObjectKind, Value};
-use obiwan_net::{Bytes, DeviceId, DeviceKind, NetError};
+use obiwan_net::{Bytes, DeviceId, DeviceKind};
 use obiwan_policy::PolicyEvent;
 use obiwan_replication::Process;
 
@@ -46,10 +48,8 @@ pub(crate) struct DetachPrep {
     data: Bytes,
     /// Copies wanted ([`crate::SwapConfig::replication_factor`]).
     want: usize,
-    /// Whether multi-hop routes may carry the blob.
-    allow_relays: bool,
-    /// The swapping device.
-    home: DeviceId,
+    /// How the swapping device reaches the candidates.
+    reach: Reach,
     /// Candidate holders in placement-policy rank order.
     candidates: Vec<DeviceId>,
 }
@@ -109,12 +109,9 @@ pub(crate) fn ship_copies(net: &SharedNet, prep: &DetachPrep) -> ShipOutcome {
         }
         // `data` is refcounted — cloning per attempt is a pointer bump,
         // not a deep copy of the blob.
-        let sent = if prep.allow_relays {
-            net.send_blob_routed(prep.home, device, &prep.key, prep.data.clone())
-                .map(|(_, cost)| cost)
-        } else {
-            net.send_blob(prep.home, device, &prep.key, prep.data.clone())
-        };
+        let sent = prep
+            .reach
+            .send(&mut net, device, &prep.key, prep.data.clone());
         match sent {
             Ok(cost) => out.records.push(ShipRecord {
                 device,
@@ -122,10 +119,7 @@ pub(crate) fn ship_copies(net: &SharedNet, prep: &DetachPrep) -> ShipOutcome {
                 churn: net.churn_seq(),
                 at_us: net.now().as_micros(),
             }),
-            Err(NetError::QuotaExceeded { .. })
-            | Err(NetError::InjectedFailure { .. })
-            | Err(NetError::NotConnected { .. })
-            | Err(NetError::Departed { .. }) => continue,
+            Err(e) if store_refused(&e) => continue,
             Err(e) => {
                 out.hard_error = Some(e.into());
                 break;
@@ -248,7 +242,7 @@ impl SwappingManager {
         // this shard (shard → net, per the hierarchy).
         if !shard.orphaned_blobs.is_empty() {
             let mut net = lock_net(&self.net)?;
-            sweep_shard_orphans(&mut net, self.home, shard);
+            sweep_shard_orphans(&mut net, &self.reach, shard);
         }
 
         // Capture + serialize before any graph mutation.
@@ -261,7 +255,7 @@ impl SwappingManager {
         let candidates: Vec<DeviceId> = {
             let net = lock_net(&self.net)?;
             self.recorder.sync_clock(&net);
-            holder_candidates(&net, self.home, config, preferred, &key, data.len(), &[])
+            holder_candidates(&net, &self.reach, config, preferred, &key, data.len(), &[])
                 .into_iter()
                 .map(|c| c.device)
                 .collect()
@@ -272,8 +266,7 @@ impl SwappingManager {
             key,
             data,
             want: config.replication_factor,
-            allow_relays: config.allow_relays,
-            home: self.home,
+            reach: self.reach,
             candidates,
         })
     }
@@ -329,35 +322,29 @@ impl SwappingManager {
             );
             holders.push(rec.device);
         }
-        if let Some(e) = shipped.hard_error {
-            // A hard error after partial stores turns the stored copies
-            // into tracked orphans before propagating.
-            for holder in holders {
-                shard.orphaned_blobs.push((holder, prep.key.clone()));
-            }
-            return Err(e);
-        }
-        // Revalidate: the shard lock was released while the bytes moved,
-        // so a concurrent operation may have raced the cluster. If it did,
-        // the freshly stored copies back no placement — track them as
-        // orphans rather than resurrecting a superseded state.
+        // A hard error after partial stores, or a concurrent operation
+        // that raced the cluster while the bytes moved without the shard
+        // lock, leaves the freshly stored copies backing no placement:
+        // track them as orphans rather than resurrecting a superseded
+        // state.
         let current = shard.clusters.get(&sc).map(|e| (e.is_loaded(), e.epoch));
-        if current != Some((true, prep.epoch)) {
-            for holder in holders {
-                shard.orphaned_blobs.push((holder, prep.key.clone()));
-            }
-            return Err(SwapError::BadState {
+        if shipped.hard_error.is_some() || current != Some((true, prep.epoch)) {
+            let key = &prep.key;
+            shard
+                .orphaned_blobs
+                .extend(holders.into_iter().map(|d| (d, key.clone())));
+            return Err(shipped.hard_error.unwrap_or(SwapError::BadState {
                 swap_cluster: sc,
                 expected: "loaded",
                 actual: "concurrently-modified",
-            });
+            }));
         }
-        let Some(&device) = holders.first() else {
+        if holders.is_empty() {
             return Err(SwapError::NoStorageDevice {
                 swap_cluster: sc,
                 tried: prep.candidates.len(),
             });
-        };
+        }
         let copies = holders.len();
         shard
             .placements
@@ -370,7 +357,7 @@ impl SwappingManager {
             .get_mut(&sc)
             .ok_or(SwapError::UnknownSwapCluster { swap_cluster: sc })?
             .epoch += 1;
-        let members = match self.detach_graph(p, c, shard, sc, device, &prep.key) {
+        let members = match self.detach_graph(p, c, shard, sc) {
             Ok(members) => members,
             Err(e) => {
                 if let Some((_, placement)) = shard.placements.remove(sc) {
@@ -404,8 +391,6 @@ impl SwappingManager {
         c: &mut Coordinator,
         shard: &mut Shard,
         sc: u32,
-        device: DeviceId,
-        key: &str,
     ) -> Result<Vec<ObjRef>> {
         // Collect the cluster's live outbound proxies for the replacement.
         let outbound: Vec<ObjRef> = {
@@ -472,11 +457,7 @@ impl SwappingManager {
             p.forget_replica(oid);
             p.note_swapped(oid, replacement);
         }
-        entry.state = SwapClusterState::SwappedOut {
-            device,
-            key: key.to_string(),
-            replacement,
-        };
+        entry.state = SwapClusterState::SwappedOut { replacement };
         Ok(members)
     }
 

@@ -14,10 +14,12 @@
 //! behind.
 
 use crate::manager::lock_net;
-use crate::shard::{lock_coordinator, lock_shard};
+use crate::shard::{lock_coordinator, lock_shard, Shard};
 use crate::swap_cluster::SwapClusterState;
 use crate::{Result, SwappingManager};
 use obiwan_heap::{CollectStats, ObjectKind, Oid};
+use obiwan_net::NetFabric;
+use obiwan_placement::Placement;
 use obiwan_replication::Process;
 
 impl SwappingManager {
@@ -54,7 +56,6 @@ impl SwappingManager {
     /// coordinator lock is poisoned. A holder that refuses the drop is
     /// counted and its copy tracked as an orphan, not an error.
     fn process_finalized(&self, p: &mut Process) -> Result<usize> {
-        let (config, _) = self.prefs();
         let records = p.heap_mut().take_finalized();
         let mut dropped = 0;
         let mut dead_proxy_keys: Vec<(u32, Oid)> = Vec::new();
@@ -69,43 +70,20 @@ impl SwappingManager {
                     // swapped the cluster out.
                     if !matches!(
                         shard.clusters.get(&sc).map(|e| &e.state),
-                        Some(SwapClusterState::SwappedOut { replacement, .. }) if *replacement == fin.obj
+                        Some(SwapClusterState::SwappedOut { replacement }) if *replacement == fin.obj
                     ) {
                         continue;
                     }
-                    // Fan the drop out to every holder of the blob, not
-                    // just the primary.
-                    let Some((_, key, holders)) = shard.holders_of(sc) else {
-                        continue;
-                    };
-                    let mut any_dropped = false;
-                    {
+                    // Fan the drop out to every holder the placement
+                    // lists, not just the primary.
+                    if let Some((_, placement)) = shard.placements.remove(sc) {
                         let mut net = lock_net(&self.net)?;
                         self.recorder.sync_clock(&net);
-                        for &holder in &holders {
-                            let ok = if config.allow_relays {
-                                net.drop_blob_routed(self.home, holder, &key).is_ok()
-                            } else {
-                                net.drop_blob(self.home, holder, &key).is_ok()
-                            };
-                            self.recorder.sync_clock(&net);
-                            if ok {
-                                self.recorder.blob_dropped(sc, holder.index(), true);
-                                any_dropped = true;
-                            } else {
-                                // Holder departed or already lost the blob:
-                                // account for it and track the possible
-                                // stale copy for the orphan sweep.
-                                self.recorder.blob_dropped(sc, holder.index(), false);
-                                shard.orphaned_blobs.push((holder, key.clone()));
-                            }
+                        if self.discard_copies(&mut net, &mut shard, sc, placement) {
+                            dropped += 1;
                         }
                     }
-                    if any_dropped {
-                        dropped += 1;
-                    }
                     self.recorder.cluster_dropped(sc);
-                    shard.placements.remove(sc);
                     if let Some(entry) = shard.clusters.get_mut(&sc) {
                         entry.state = SwapClusterState::Dropped;
                         for (oid, _) in entry.members.drain(..) {
@@ -143,5 +121,29 @@ impl SwappingManager {
             }
         }
         Ok(dropped)
+    }
+
+    /// Tell every holder a retired `placement` of `sc` lists to discard
+    /// its copy, tracing each attempt; a holder that refuses keeps its
+    /// copy as a tracked orphan for the sweep. Returns whether any copy
+    /// was dropped. Caller holds `sc`'s shard guard and the net guard.
+    pub(crate) fn discard_copies(
+        &self,
+        net: &mut NetFabric,
+        shard: &mut Shard,
+        sc: u32,
+        placement: Placement,
+    ) -> bool {
+        let mut any = false;
+        for holder in placement.holders {
+            let ok = self.reach.discard(net, holder, &placement.key).is_ok();
+            self.recorder.sync_clock(net);
+            self.recorder.blob_dropped(sc, holder.index(), ok);
+            if !ok {
+                shard.orphaned_blobs.push((holder, placement.key.clone()));
+            }
+            any |= ok;
+        }
+        any
     }
 }

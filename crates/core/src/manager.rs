@@ -23,7 +23,7 @@ use crate::shard::{lock_coordinator, lock_shard, lock_shard_pair, shard_for, Coo
 use crate::swap_cluster::{SwapClusterEntry, SwapClusterState};
 use crate::{Result, SwapConfig, SwapError, VictimPolicy};
 use obiwan_heap::{ObjRef, ObjectKind, Oid};
-use obiwan_net::{DeviceId, DeviceKind, NetError, NetFabric};
+use obiwan_net::{Bytes, DeviceId, DeviceKind, NetError, NetFabric, SimDuration};
 use obiwan_placement::{HolderCandidate, PlacementTable};
 use obiwan_policy::PolicyEvent;
 use obiwan_replication::{ClusterInfo, Interceptor, Process, ReplError, Resolved};
@@ -102,6 +102,8 @@ pub struct SwappingManager {
     pub(crate) net: SharedNet,
     /// The device this manager runs on (the memory-constrained one).
     pub(crate) home: DeviceId,
+    /// How `home` reaches the holders of its copies.
+    pub(crate) reach: Reach,
     /// Process-wide state: config, proxy tables, grouping, policy events.
     pub(crate) coordinator: Mutex<Coordinator>,
     /// The sharded lock table holding all cluster-keyed state.
@@ -127,6 +129,7 @@ impl SwappingManager {
         SwappingManager {
             net,
             home,
+            reach: Reach::new(&config, home),
             recorder: Recorder::new(config.trace_capacity),
             coordinator: Mutex::new(Coordinator::new(config)),
             shards: (0..shard_count)
@@ -176,7 +179,7 @@ impl SwappingManager {
                 continue;
             }
             let mut net = self.net.lock().unwrap_or_else(PoisonError::into_inner);
-            dropped += sweep_shard_orphans(&mut net, self.home, &mut shard);
+            dropped += sweep_shard_orphans(&mut net, &self.reach, &mut shard);
         }
         dropped
     }
@@ -342,18 +345,17 @@ impl SwappingManager {
     }
 
     /// The holder set backing swap-cluster `sc` while it is swapped out:
-    /// `(epoch, key, holders)` from the owning shard's placement table,
-    /// falling back to the single device recorded in the entry state.
+    /// `(epoch, key, holders)` from the owning shard's placement table.
     pub fn holders_of(&self, sc: u32) -> Option<(u32, String, Vec<DeviceId>)> {
         let shard = lock_shard(&self.shards, self.shard_of(sc)).ok()?;
-        shard.holders_of(sc)
+        let (epoch, p) = shard.placements.active(sc)?;
+        Some((epoch, p.key.clone(), p.holders.clone()))
     }
 
     /// Detect blob holders that departed since the last pump and emit one
     /// [`PolicyEvent::HolderLost`] per fresh loss. A holder that returns
     /// is eligible to be reported again if it departs later.
     pub fn note_departures(&self) -> Result<()> {
-        let (config, _) = self.prefs();
         let present: HashSet<DeviceId> = {
             let net = lock_net(&self.net)?;
             self.recorder.sync_clock(&net);
@@ -364,14 +366,7 @@ impl SwappingManager {
             if self.seen_churn_seq.swap(seq, Ordering::Relaxed) == seq {
                 return Ok(());
             }
-            if config.allow_relays {
-                net.reachable(self.home)
-                    .into_iter()
-                    .map(|(d, _)| d)
-                    .collect()
-            } else {
-                net.nearby(self.home).into_iter().collect()
-            }
+            self.reach.present_set(&net)
         };
         let mut fresh_events: Vec<PolicyEvent> = Vec::new();
         for idx in 0..self.shards.len() {
@@ -434,8 +429,7 @@ impl SwappingManager {
     pub fn repair_placements(&self) -> Result<(u64, u64)> {
         let (config, preferred) = self.prefs();
         let k = config.replication_factor;
-        let allow_relays = config.allow_relays;
-        let home = self.home;
+        let (home, reach) = (self.home, &self.reach);
         let mut entries: Vec<(u32, u32, String, Vec<DeviceId>)> = Vec::new();
         for idx in 0..self.shards.len() {
             let shard = lock_shard(&self.shards, idx)?;
@@ -455,11 +449,7 @@ impl SwappingManager {
             // Phase A: probe and move bytes under the net lock only.
             let mut net = lock_net(&self.net)?;
             self.recorder.sync_clock(&net);
-            let present: HashSet<DeviceId> = if allow_relays {
-                net.reachable(home).into_iter().map(|(d, _)| d).collect()
-            } else {
-                net.nearby(home).into_iter().collect()
-            };
+            let present = reach.present_set(&net);
             // Live = still reachable and still holding the bytes.
             let mut live: Vec<DeviceId> = holders
                 .iter()
@@ -502,38 +492,24 @@ impl SwappingManager {
             if deficit > 0 {
                 let mut data = None;
                 for &src in &live {
-                    let fetched = if allow_relays {
-                        net.fetch_blob_routed(home, src, &key).map(|(_, b)| b)
-                    } else {
-                        net.fetch_blob(home, src, &key)
-                    };
-                    match fetched {
+                    match reach.fetch(&mut net, src, &key) {
                         Ok(b) => {
                             data = Some(b);
                             break;
                         }
-                        Err(NetError::Departed { .. })
-                        | Err(NetError::UnknownBlob { .. })
-                        | Err(NetError::NotConnected { .. })
-                        | Err(NetError::InjectedFailure { .. }) => continue,
+                        Err(e) if cannot_serve(&e) => continue,
                         Err(e) => return Err(e.into()),
                     }
                 }
                 let Some(data) = data else { continue };
                 sent_bytes += data.len() as u64;
                 let candidates =
-                    holder_candidates(&net, home, &config, preferred, &key, data.len(), &holders);
+                    holder_candidates(&net, reach, &config, preferred, &key, data.len(), &holders);
                 for c in candidates {
                     if added.len() >= deficit {
                         break;
                     }
-                    let sent = if allow_relays {
-                        net.send_blob_routed(home, c.device, &key, data.clone())
-                            .map(|(_, cost)| cost)
-                    } else {
-                        net.send_blob(home, c.device, &key, data.clone())
-                    };
-                    match sent {
+                    match reach.send(&mut net, c.device, &key, data.clone()) {
                         Ok(cost) => {
                             self.recorder.sync_clock(&net);
                             self.recorder.blob_shipped(
@@ -555,10 +531,7 @@ impl SwappingManager {
                             added.push(c.device);
                             unorphan.push(c.device);
                         }
-                        Err(NetError::QuotaExceeded { .. })
-                        | Err(NetError::InjectedFailure { .. })
-                        | Err(NetError::NotConnected { .. })
-                        | Err(NetError::Departed { .. }) => continue,
+                        Err(e) if store_refused(&e) => continue,
                         Err(e) => return Err(e.into()),
                     }
                 }
@@ -567,8 +540,6 @@ impl SwappingManager {
             moved += sent_bytes;
             // Phase B: commit under the owning shard lock, revalidating
             // that the probed placement is still current.
-            let new_holders: Vec<DeviceId> =
-                live.iter().copied().chain(added.iter().copied()).collect();
             let mut shard = lock_shard(&self.shards, self.shard_of(sc))?;
             let still = shard.placements.active(sc).map(|(e, p)| (e, p.key.clone()));
             if still != Some((epoch, key.clone())) {
@@ -580,6 +551,20 @@ impl SwappingManager {
                 }
                 continue;
             }
+            if !unorphan.is_empty() {
+                // A sweep of this shard may have dropped a re-adopted copy
+                // since phase A listed it; it cannot any more (shard →
+                // net), so keep only the devices that still hold the key.
+                let net = lock_net(&self.net)?;
+                let gone: Vec<DeviceId> = unorphan
+                    .iter()
+                    .copied()
+                    .filter(|&d| !net.holds_blob(d, &key))
+                    .collect();
+                for list in [&mut unorphan, &mut live, &mut added] {
+                    list.retain(|d| !gone.contains(d));
+                }
+            }
             for d in &unorphan {
                 shard
                     .orphaned_blobs
@@ -588,23 +573,16 @@ impl SwappingManager {
             for &d in &orphan {
                 shard.orphaned_blobs.push((d, key.clone()));
             }
-            if new_holders != holders {
+            let new_holders: Vec<DeviceId> =
+                live.into_iter().chain(added.iter().copied()).collect();
+            if !new_holders.is_empty() && new_holders != holders {
                 // Stale copies on pruned (departed) holders get swept if
                 // the device ever returns.
                 for &d in &dead {
                     shard.orphaned_blobs.push((d, key.clone()));
                     shard.lost_reported.remove(&(sc, d));
                 }
-                shard
-                    .placements
-                    .record(sc, epoch, key.clone(), new_holders.clone());
-                if let Some(entry) = shard.clusters.get_mut(&sc) {
-                    if let SwapClusterState::SwappedOut { device, .. } = &mut entry.state {
-                        if let Some(&primary) = new_holders.first() {
-                            *device = primary;
-                        }
-                    }
-                }
+                shard.placements.record(sc, epoch, key.clone(), new_holders);
                 if !added.is_empty() {
                     repaired += 1;
                 }
@@ -985,25 +963,130 @@ impl SwappingManager {
     }
 }
 
+/// How the home device reaches the devices that hold its blob copies:
+/// the one place that chooses between direct links and relay routes
+/// ("available to any user, either to store data or to relay
+/// communications"). Built once from [`SwapConfig::allow_relays`]. With
+/// relays off every verb is the direct one; with relays on every verb
+/// travels the fewest-hops route, paying each hop's airtime.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reach {
+    home: DeviceId,
+    relays: bool,
+}
+
+impl Reach {
+    fn new(config: &SwapConfig, home: DeviceId) -> Self {
+        let relays = config.allow_relays;
+        Reach { home, relays }
+    }
+
+    /// Every device the home device can reach, with its hop count (1 for
+    /// a direct link).
+    pub(crate) fn present(&self, net: &NetFabric) -> Vec<(DeviceId, usize)> {
+        if self.relays {
+            net.reachable(self.home)
+        } else {
+            net.nearby(self.home).into_iter().map(|d| (d, 1)).collect()
+        }
+    }
+
+    /// [`Reach::present`] without the hop counts.
+    pub(crate) fn present_set(&self, net: &NetFabric) -> HashSet<DeviceId> {
+        self.present(net).into_iter().map(|(d, _)| d).collect()
+    }
+
+    /// Whether a verb addressed to `device` could leave the home device
+    /// now: a live direct link, or with relays any route.
+    pub(crate) fn reaches(&self, net: &NetFabric, device: DeviceId) -> bool {
+        if self.relays {
+            net.route(self.home, device).is_some()
+        } else {
+            net.link(self.home, device).is_some()
+        }
+    }
+
+    /// Store a copy under `key` on `to`, returning the airtime it cost.
+    pub(crate) fn send(
+        &self,
+        net: &mut NetFabric,
+        to: DeviceId,
+        key: &str,
+        data: Bytes,
+    ) -> obiwan_net::Result<SimDuration> {
+        if self.relays {
+            net.send_blob_routed(self.home, to, key, data)
+                .map(|(_, cost)| cost)
+        } else {
+            net.send_blob(self.home, to, key, data)
+        }
+    }
+
+    /// Fetch the copy stored under `key` on `from`.
+    pub(crate) fn fetch(
+        &self,
+        net: &mut NetFabric,
+        from: DeviceId,
+        key: &str,
+    ) -> obiwan_net::Result<Bytes> {
+        if self.relays {
+            net.fetch_blob_routed(self.home, from, key)
+                .map(|(_, data)| data)
+        } else {
+            net.fetch_blob(self.home, from, key)
+        }
+    }
+
+    /// Tell `holder` to discard its copy under `key`.
+    pub(crate) fn discard(
+        &self,
+        net: &mut NetFabric,
+        holder: DeviceId,
+        key: &str,
+    ) -> obiwan_net::Result<()> {
+        if self.relays {
+            net.drop_blob_routed(self.home, holder, key)
+        } else {
+            net.drop_blob(self.home, holder, key)
+        }
+    }
+}
+
+/// A device refused this store (full, gone, unreachable or faulted): try
+/// the next candidate.
+pub(crate) fn store_refused(e: &NetError) -> bool {
+    use NetError::*;
+    matches!(
+        e,
+        QuotaExceeded { .. } | InjectedFailure { .. } | NotConnected { .. } | Departed { .. }
+    )
+}
+
+/// A device cannot serve this copy (gone, unreachable, faulted or without
+/// the key): try the next holder.
+pub(crate) fn cannot_serve(e: &NetError) -> bool {
+    use NetError::*;
+    matches!(
+        e,
+        Departed { .. } | UnknownBlob { .. } | NotConnected { .. } | InjectedFailure { .. }
+    )
+}
+
 /// Candidate holders for a blob of `need` bytes under `key`, ranked by
 /// the configured placement policy. Devices in `exclude` (current
 /// holders) are skipped. A free function over snapshotted prefs so it can
 /// run under the net lock without touching coordinator or shard state.
 pub(crate) fn holder_candidates(
     net: &NetFabric,
-    home: DeviceId,
+    reach: &Reach,
     config: &SwapConfig,
     preferred: Option<DeviceKind>,
     key: &str,
     need: usize,
     exclude: &[DeviceId],
 ) -> Vec<HolderCandidate> {
-    let source: Vec<(DeviceId, usize)> = if config.allow_relays {
-        net.reachable(home)
-    } else {
-        net.nearby(home).into_iter().map(|d| (d, 1)).collect()
-    };
-    let mut candidates: Vec<HolderCandidate> = source
+    let mut candidates: Vec<HolderCandidate> = reach
+        .present(net)
         .into_iter()
         .filter(|(d, _)| !exclude.contains(d))
         .filter_map(|(d, hops)| {
@@ -1024,19 +1107,20 @@ pub(crate) fn holder_candidates(
 }
 
 /// Drop one shard's orphaned blobs, best effort. Caller holds the shard
-/// guard and the net guard (in that order). An orphan on a device with no
-/// live link is kept without a call: `drop_blob` would refuse it on that
+/// guard and the net guard (in that order). An orphan whose holder the
+/// home device cannot reach now (no live link, or no route when relays
+/// are allowed) is kept without a call: the drop would be refused on that
 /// same condition before touching the fabric. A holder that answers
 /// `UnknownBlob` has nothing left to reclaim, so that orphan is retired
 /// too: the entry was tracked twice (two repair passes pruning the same
 /// departed holder) or its copy is already gone, and retrying it would
 /// fail on every sweep.
-pub(crate) fn sweep_shard_orphans(net: &mut NetFabric, home: DeviceId, shard: &mut Shard) -> usize {
+pub(crate) fn sweep_shard_orphans(net: &mut NetFabric, reach: &Reach, shard: &mut Shard) -> usize {
     let before = shard.orphaned_blobs.len();
     shard.orphaned_blobs.retain(|(device, key)| {
-        net.link(home, *device).is_none()
+        !reach.reaches(net, *device)
             || !matches!(
-                net.drop_blob(home, *device, key),
+                reach.discard(net, *device, key),
                 Ok(()) | Err(NetError::UnknownBlob { .. })
             )
     });

@@ -20,13 +20,13 @@
 //! alone, commit takes coordinator → shard → net (the net window only for
 //! the eager blob drops).
 
-use crate::manager::{lock_net, SharedNet};
+use crate::manager::{cannot_serve, lock_net, Reach, SharedNet};
 use crate::materialize::{ClusterMaterializer, FixupKind, OidMap};
 use crate::shard::{lock_coordinator, lock_shard, Coordinator, Shard};
 use crate::swap_cluster::SwapClusterState;
 use crate::{proxy, wire, Result, SwapError, SwappingManager};
 use obiwan_heap::{ObjRef, ObjectKind, Oid, Value};
-use obiwan_net::{Bytes, DeviceId, NetError};
+use obiwan_net::{Bytes, DeviceId};
 use obiwan_policy::PolicyEvent;
 use obiwan_replication::Process;
 
@@ -43,10 +43,8 @@ pub(crate) struct ReloadPrep {
     key: String,
     /// Recorded holders, primary first.
     holders: Vec<DeviceId>,
-    /// Whether multi-hop routes may carry the blob.
-    allow_relays: bool,
-    /// The reloading device.
-    home: DeviceId,
+    /// How the reloading device reaches them.
+    reach: Reach,
     /// The replacement-object standing in for the cluster.
     replacement: ObjRef,
 }
@@ -92,22 +90,13 @@ pub(crate) fn fetch_copy(net: &SharedNet, prep: &ReloadPrep) -> FetchOutcome {
     };
     out.clock0 = Some((net.churn_seq(), net.now().as_micros()));
     for (i, &holder) in prep.holders.iter().enumerate() {
-        let fetched = if prep.allow_relays {
-            net.fetch_blob_routed(prep.home, holder, &prep.key)
-                .map(|(_, data)| data)
-        } else {
-            net.fetch_blob(prep.home, holder, &prep.key)
-        };
-        match fetched {
+        match prep.reach.fetch(&mut net, holder, &prep.key) {
             Ok(bytes) => {
                 out.success_clock = Some((net.churn_seq(), net.now().as_micros()));
                 out.data = Some(bytes);
                 break;
             }
-            Err(NetError::Departed { .. })
-            | Err(NetError::UnknownBlob { .. })
-            | Err(NetError::NotConnected { .. })
-            | Err(NetError::InjectedFailure { .. }) => {
+            Err(e) if cannot_serve(&e) => {
                 out.tried.push(holder);
                 // A failover is trying *another* copy; the last holder
                 // failing dead-ends the reload instead, so at most
@@ -139,8 +128,8 @@ impl SwappingManager {
     ///    references to never-replicated objects as fault proxies;
     /// 4. patch every inbound swap-cluster-proxy back from the
     ///    replacement-object to the fresh replicas;
-    /// 5. retire the replacement-object (it becomes garbage) and drop the
-    ///    blob on the storing device.
+    /// 5. retire the replacement-object (it becomes garbage) and drop every
+    ///    copy the cluster's placement lists at commit.
     ///
     /// # Errors
     ///
@@ -165,7 +154,6 @@ impl SwappingManager {
     /// pair is already closed (`reload_abort`, unless validation failed
     /// before the reload started).
     pub(crate) fn reload_prepare(&self, sc: u32) -> Result<ReloadPrep> {
-        let (config, _) = self.prefs();
         let shard = lock_shard(&self.shards, self.shard_of(sc))?;
         let replacement = {
             let entry = shard
@@ -173,7 +161,7 @@ impl SwappingManager {
                 .get(&sc)
                 .ok_or(SwapError::UnknownSwapCluster { swap_cluster: sc })?;
             match &entry.state {
-                SwapClusterState::SwappedOut { replacement, .. } => *replacement,
+                SwapClusterState::SwappedOut { replacement } => *replacement,
                 SwapClusterState::Dropped => {
                     // The replacement-object died unreferenced and the GC
                     // cooperation released the blob; there is nothing left
@@ -198,14 +186,13 @@ impl SwappingManager {
         // leaves the cluster swapped out — emit the matching abort so the
         // conformance replay tracks the revert.
         self.recorder.reload_start(sc);
-        match shard.holders_of(sc) {
-            Some((epoch, key, holders)) => Ok(ReloadPrep {
+        match shard.placements.active(sc) {
+            Some((epoch, placement)) => Ok(ReloadPrep {
                 sc,
                 epoch,
-                key,
-                holders,
-                allow_relays: config.allow_relays,
-                home: self.home,
+                key: placement.key.clone(),
+                holders: placement.holders.clone(),
+                reach: self.reach,
                 replacement,
             }),
             None => {
@@ -272,7 +259,7 @@ impl SwappingManager {
         // is stale — bail before any graph mutation.
         let still_ours = shard.clusters.get(&sc).is_some_and(|e| {
             matches!(&e.state,
-                SwapClusterState::SwappedOut { replacement: r, .. } if *r == replacement)
+                SwapClusterState::SwappedOut { replacement: r } if *r == replacement)
         });
         if !still_ours {
             return Err(SwapError::BadState {
@@ -360,22 +347,27 @@ impl SwappingManager {
                         f.oid
                     ))
                 })?,
-                FixupKind::Proxy => match memo_proxy.get(&f.oid) {
-                    Some(&t) => t,
-                    None => {
-                        let t = self.reconnect_proxy_ref(p, c, sc, f.oid, &outbound_by_oid)?;
-                        memo_proxy.insert(f.oid, t);
-                        t
+                FixupKind::Proxy | FixupKind::Fault => {
+                    // A proxied reference first tries the outbound proxies
+                    // the replacement-object kept alive; a reference to an
+                    // identity not replicated at swap-out, the members.
+                    let (memo, known) = if f.kind == FixupKind::Proxy {
+                        (&mut memo_proxy, &outbound_by_oid)
+                    } else {
+                        (&mut memo_fault, &member_map)
+                    };
+                    match memo.get(&f.oid) {
+                        Some(&t) => t,
+                        None => {
+                            let t = match known.get(&f.oid) {
+                                Some(&t) => t,
+                                None => self.reconnect_ref(p, c, sc, f.oid)?,
+                            };
+                            memo.insert(f.oid, t);
+                            t
+                        }
                     }
-                },
-                FixupKind::Fault => match memo_fault.get(&f.oid) {
-                    Some(&t) => t,
-                    None => {
-                        let t = self.reconnect_fault_ref(p, c, sc, f.oid, &member_map)?;
-                        memo_fault.insert(f.oid, t);
-                        t
-                    }
-                },
+                }
             };
             p.heap_mut()
                 .set_any_field(holder, f.field as usize, Value::Ref(target))?;
@@ -417,29 +409,12 @@ impl SwappingManager {
         if p.heap().is_live(replacement) {
             p.heap_mut().header_mut(replacement)?.finalize = false;
         }
-        {
+        // Loaded again: retire the placement and drop every copy it lists
+        // now, including any a repair pass added while the bytes moved.
+        if let Some((_, placement)) = shard.placements.remove(sc) {
             let mut net = lock_net(&self.net)?;
-            for &holder in &prep.holders {
-                let dropped = if prep.allow_relays {
-                    net.drop_blob_routed(self.home, holder, key)
-                } else {
-                    net.drop_blob(self.home, holder, key)
-                };
-                self.recorder.sync_clock(&net);
-                match dropped {
-                    Ok(()) => self.recorder.blob_dropped(sc, holder.index(), true),
-                    Err(_) => {
-                        // Unreachable holder: its copy survives the reload.
-                        // Track it as an orphan so a future sweep (or the
-                        // repair pass re-adopting it) keeps the room clean.
-                        self.recorder.blob_dropped(sc, holder.index(), false);
-                        shard.orphaned_blobs.push((holder, key.clone()));
-                    }
-                }
-            }
+            self.discard_copies(&mut net, shard, sc, placement);
         }
-        // Loaded again: the placement record is retired.
-        shard.placements.remove(sc);
         self.recorder
             .reload_end(sc, epoch, blob_bytes as u64, tried.len() as u32);
         c.events.push(PolicyEvent::SwappedIn {
@@ -448,21 +423,19 @@ impl SwappingManager {
         Ok(blob_bytes)
     }
 
-    /// Reconnect a member field that was mediated by an outbound proxy.
-    /// Caller holds the coordinator (proxy tables).
-    fn reconnect_proxy_ref(
+    /// Reconnect a member field to identity `oid` when neither an
+    /// outbound proxy nor a member covers it (a proxy re-targeted by the
+    /// iteration optimization, or an identity replicated or even swapped
+    /// since swap-out): a replica in `sc` directly, any other replica or
+    /// a replacement-object through a proxy, else a fault proxy. Caller
+    /// holds the coordinator (proxy tables).
+    fn reconnect_ref(
         &self,
         p: &mut Process,
         c: &mut Coordinator,
         sc: u32,
         oid: Oid,
-        outbound_by_oid: &OidMap<ObjRef>,
     ) -> Result<ObjRef> {
-        if let Some(&pr) = outbound_by_oid.get(&oid) {
-            return Ok(pr);
-        }
-        // The proxy is gone (e.g. it was re-targeted by the iteration
-        // optimization); rebuild the mediation from the target's identity.
         if let Some(t) = p.lookup_replica(oid) {
             let t_sc = p.heap().get(t)?.header().swap_cluster;
             if t_sc == sc {
@@ -475,31 +448,62 @@ impl SwappingManager {
         }
         Ok(p.ensure_fault_proxy(oid)?)
     }
+}
 
-    /// Reconnect a member field that referenced a not-yet-replicated
-    /// identity at swap-out time. The identity may have been replicated —
-    /// or even swapped — in the meantime. Caller holds the coordinator.
-    fn reconnect_fault_ref(
-        &self,
-        p: &mut Process,
-        c: &mut Coordinator,
-        sc: u32,
-        oid: Oid,
-        member_map: &OidMap<ObjRef>,
-    ) -> Result<ObjRef> {
-        if let Some(&m) = member_map.get(&oid) {
-            return Ok(m);
-        }
-        if let Some(t) = p.lookup_replica(oid) {
-            let t_sc = p.heap().get(t)?.header().swap_cluster;
-            if t_sc == sc {
-                return Ok(t);
-            }
-            return self.proxy_for(p, c, sc, t, oid);
-        }
-        if let Some(rep) = p.swapped_replacement(oid) {
-            return self.proxy_for(p, c, sc, rep, oid);
-        }
-        Ok(p.ensure_fault_proxy(oid)?)
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may panic on impossible states
+mod tests {
+    use super::*;
+    use crate::{Middleware, StoreSpec, SwapConfig};
+    use obiwan_net::DeviceKind;
+    use obiwan_replication::{standard_classes, Server};
+
+    /// A repair pass between a reload's prepare and its commit adds a
+    /// holder; the commit drops the copies the placement lists then, so
+    /// the added copy does not outlive the placement untracked (audit G1).
+    #[test]
+    fn a_reload_drops_the_copy_a_repair_added_after_prepare() {
+        let mut server = Server::new(standard_classes());
+        let head = server.build_list("Node", 40, 16).expect("build list");
+        let mut mw = Middleware::builder()
+            .cluster_size(10)
+            .device_memory(1 << 20)
+            .no_builtin_policies()
+            .stores(
+                (0..3)
+                    .map(|i| StoreSpec::new(format!("store-{i}"), DeviceKind::Laptop, 1 << 20))
+                    .collect(),
+            )
+            .swap_config(SwapConfig::default().replication_factor(2))
+            .build(server);
+        let root = mw.replicate_root(head).expect("replicate root");
+        mw.set_global("head", Value::Ref(root));
+        mw.invoke_i64(root, "length", vec![]).expect("warm-up");
+        mw.swap_out(2).expect("swap out sc2");
+        let m = mw.manager();
+        let (_, key, placed) = m.holders_of(2).expect("placed");
+        mw.net()
+            .lock()
+            .expect("net")
+            .depart(placed[0])
+            .expect("depart the primary");
+
+        let prep = m.reload_prepare(2).expect("prepare");
+        m.repair_placements().expect("repair");
+        let (_, _, repaired) = m.holders_of(2).expect("still placed");
+        let added = *repaired
+            .iter()
+            .find(|d| !placed.contains(d))
+            .expect("the repair added a holder");
+        let fetched = fetch_copy(&m.net, &prep);
+        m.reload_commit(mw.process_mut(), prep, fetched)
+            .expect("commit");
+
+        assert!(
+            !mw.net().lock().expect("net").holds_blob(added, &key),
+            "the copy the repair added is dropped with the placement"
+        );
+        let report = mw.audit();
+        assert!(!report.has_errors(), "after the reload:\n{report}");
     }
 }

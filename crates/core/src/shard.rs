@@ -41,29 +41,6 @@ pub(crate) struct Shard {
     pub(crate) lost_reported: BTreeSet<(u32, DeviceId)>,
 }
 
-impl Shard {
-    /// The holder set backing swap-cluster `sc` while it is swapped out:
-    /// `(epoch, key, holders)` from the placement table, falling back to
-    /// the single device recorded in the entry state (worlds whose state
-    /// was crafted directly, e.g. by injection tests).
-    pub(crate) fn holders_of(&self, sc: u32) -> Option<(u32, String, Vec<DeviceId>)> {
-        if let Some((epoch, p)) = self.placements.active(sc) {
-            return Some((epoch, p.key.clone(), p.holders.clone()));
-        }
-        let entry = self.clusters.get(&sc)?;
-        if let crate::swap_cluster::SwapClusterState::SwappedOut {
-            device, ref key, ..
-        } = entry.state
-        {
-            // The entry's epoch was bumped right after the store, so the
-            // blob on the wire carries the previous one.
-            Some((entry.epoch.wrapping_sub(1), key.clone(), vec![device]))
-        } else {
-            None
-        }
-    }
-}
-
 /// Process-wide manager state: everything not keyed by swap-cluster, plus
 /// the proxy tables (proxies mediate *pairs* of clusters, so no single
 /// shard owns them).

@@ -1,7 +1,6 @@
 //! Swap-cluster registry entries and their state machine.
 
 use obiwan_heap::{ObjRef, Oid};
-use obiwan_net::DeviceId;
 
 /// Lifecycle of a swap-cluster.
 ///
@@ -14,19 +13,17 @@ use obiwan_net::DeviceId;
 pub enum SwapClusterState {
     /// Members are live replicas on the device.
     Loaded,
-    /// Members are serialized on a storing device; a replacement-object
-    /// stands in for them in the graph.
+    /// Members are serialized on storing devices; a replacement-object
+    /// stands in for them in the graph. Which devices hold the copies,
+    /// under which key, is recorded only in the owning shard's placement
+    /// table ([`crate::SwappingManager::holders_of`]).
     SwappedOut {
-        /// Device holding the blob.
-        device: DeviceId,
-        /// Blob key on that device.
-        key: String,
         /// The replacement-object.
         replacement: ObjRef,
     },
     /// The replacement-object died while swapped out: the application can
-    /// never reach these objects again, and the storing device has been
-    /// (or could not be) instructed to drop the blob.
+    /// never reach these objects again, and every holder its placement
+    /// listed has been (or could not be) instructed to drop its copy.
     Dropped,
 }
 
@@ -107,8 +104,6 @@ mod tests {
         assert_eq!(SwapClusterState::Dropped.name(), "dropped");
         assert_eq!(
             SwapClusterState::SwappedOut {
-                device: DeviceId::default(),
-                key: "k".into(),
                 replacement: ObjRef::test_dummy(0),
             }
             .name(),

@@ -18,10 +18,15 @@
 
 use obiwan_core::{Middleware, SwapError, SwapStats, WireFormatKind};
 use obiwan_heap::Value;
-use obiwan_net::{DeviceId, DeviceKind};
+use obiwan_net::{
+    Bytes, DeviceId, DeviceKind, DeviceProfile, FailurePlan, LinkSpec, NetError, NetFabric, Route,
+    SimDuration, SimNet, SimTime, Transport,
+};
 use obiwan_replication::{standard_classes, Server};
 use obiwan_trace::derive::{fold_counts, FoldedCounts};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Assert every shared counter matches between the live stats and the
 /// fold of the exported events (same contract as trace_consistency, here
@@ -277,6 +282,216 @@ fn repair_sweep_restores_placements_on_two_shards() {
     );
     let report = mw.audit();
     assert!(!report.has_errors(), "after cross-shard repair:\n{report}");
+}
+
+/// A [`SimNet`] whose `holders_of_key` answers and then, once armed,
+/// drops the listed copy on one device: the orphan sweep (shard → net)
+/// landing between a repair's net-only phase A, which re-adopts the copy,
+/// and its shard-guarded phase B, which records it. `holders_of_key`
+/// takes `&self`, so the world sits behind its own mutex; device profiles
+/// never change and are answered from a copy taken at construction.
+struct SweepAfterListing {
+    inner: Mutex<SimNet>,
+    profiles: BTreeMap<DeviceId, DeviceProfile>,
+    home: DeviceId,
+    victim: Arc<Mutex<Option<DeviceId>>>,
+}
+
+impl SweepAfterListing {
+    fn net(&self) -> std::sync::MutexGuard<'_, SimNet> {
+        self.inner.lock().expect("sim net")
+    }
+}
+
+impl Transport for SweepAfterListing {
+    fn now(&self) -> SimTime {
+        self.net().now()
+    }
+    fn advance(&mut self, d: SimDuration) -> SimTime {
+        self.net().advance(d)
+    }
+    fn profile(&self, device: DeviceId) -> obiwan_net::Result<&DeviceProfile> {
+        self.profiles
+            .get(&device)
+            .ok_or(NetError::UnknownDevice { device })
+    }
+    fn set_failure_plan(&mut self, device: DeviceId, plan: FailurePlan) -> obiwan_net::Result<()> {
+        self.net().set_failure_plan(device, plan)
+    }
+    fn connect(&mut self, a: DeviceId, b: DeviceId, link: LinkSpec) -> obiwan_net::Result<()> {
+        self.net().connect(a, b, link)
+    }
+    fn disconnect(&mut self, a: DeviceId, b: DeviceId) {
+        self.net().disconnect(a, b)
+    }
+    fn link(&self, a: DeviceId, b: DeviceId) -> Option<LinkSpec> {
+        self.net().link(a, b)
+    }
+    fn nearby(&self, of: DeviceId) -> Vec<DeviceId> {
+        self.net().nearby(of)
+    }
+    fn reachable(&self, of: DeviceId) -> Vec<(DeviceId, usize)> {
+        self.net().reachable(of)
+    }
+    fn route(&self, from: DeviceId, to: DeviceId) -> Option<Route> {
+        self.net().route(from, to)
+    }
+    fn free_storage(&self, device: DeviceId) -> obiwan_net::Result<usize> {
+        self.net().free_storage(device)
+    }
+    fn depart(&mut self, device: DeviceId) -> obiwan_net::Result<()> {
+        self.net().depart(device)
+    }
+    fn arrive(&mut self, device: DeviceId) -> obiwan_net::Result<()> {
+        self.net().arrive(device)
+    }
+    fn churn_seq(&self) -> u64 {
+        self.net().churn_seq()
+    }
+    fn is_present(&self, device: DeviceId) -> bool {
+        self.net().is_present(device)
+    }
+    fn send_blob(
+        &mut self,
+        from: DeviceId,
+        to: DeviceId,
+        key: &str,
+        data: Bytes,
+    ) -> obiwan_net::Result<SimDuration> {
+        self.net().send_blob(from, to, key, data)
+    }
+    fn fetch_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> obiwan_net::Result<Bytes> {
+        self.net().fetch_blob(from, to, key)
+    }
+    fn drop_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> obiwan_net::Result<()> {
+        self.net().drop_blob(from, to, key)
+    }
+    fn send_blob_routed(
+        &mut self,
+        from: DeviceId,
+        to: DeviceId,
+        key: &str,
+        data: Bytes,
+    ) -> obiwan_net::Result<(Route, SimDuration)> {
+        self.net().send_blob_routed(from, to, key, data)
+    }
+    fn fetch_blob_routed(
+        &mut self,
+        from: DeviceId,
+        to: DeviceId,
+        key: &str,
+    ) -> obiwan_net::Result<(Route, Bytes)> {
+        self.net().fetch_blob_routed(from, to, key)
+    }
+    fn drop_blob_routed(
+        &mut self,
+        from: DeviceId,
+        to: DeviceId,
+        key: &str,
+    ) -> obiwan_net::Result<()> {
+        self.net().drop_blob_routed(from, to, key)
+    }
+    fn holds_blob(&self, to: DeviceId, key: &str) -> bool {
+        self.net().holds_blob(to, key)
+    }
+    fn holders_of_key(&self, key: &str) -> Vec<DeviceId> {
+        let mut net = self.net();
+        let listed = net.holders_of_key(key);
+        let armed = self.victim.lock().expect("victim").take();
+        if let Some(victim) = armed.filter(|v| listed.contains(v)) {
+            net.drop_blob(self.home, victim, key)
+                .expect("the sweep drops the listed copy");
+        }
+        listed
+    }
+    fn blob_keys(&self, device: DeviceId) -> Vec<String> {
+        self.net().blob_keys(device)
+    }
+    fn blob_data(&self, device: DeviceId, key: &str) -> Option<Bytes> {
+        self.net().blob_data(device, key)
+    }
+    fn stored_bytes(&self, device: DeviceId) -> obiwan_net::Result<usize> {
+        self.net().stored_bytes(device)
+    }
+    fn device_ids(&self) -> Vec<DeviceId> {
+        self.net().device_ids()
+    }
+    fn traffic(&self) -> (u64, u64) {
+        self.net().traffic()
+    }
+}
+
+/// A repair re-adopts a returned holder's copy in phase A; an orphan
+/// sweep drops that copy before phase B commits. Phase B must re-check
+/// the copy under the shard guard and leave the device out of the
+/// placement, instead of recording a holder without the blob (audit D4).
+#[test]
+fn repair_rechecks_a_readopted_copy_the_sweep_dropped() {
+    let mut sim = SimNet::new();
+    let home = sim.add_device("pda", DeviceKind::Pda, 0);
+    let stores: Vec<DeviceId> = (0..2)
+        .map(|i| sim.add_device(format!("store-{i}"), DeviceKind::Laptop, 1 << 20))
+        .collect();
+    for &d in &stores {
+        sim.connect(home, d, LinkSpec::bluetooth()).expect("link");
+    }
+    let profiles = sim
+        .device_ids()
+        .into_iter()
+        .map(|d| (d, sim.profile(d).expect("profile").clone()))
+        .collect();
+    let victim = Arc::new(Mutex::new(None));
+    let net = Arc::new(Mutex::new(NetFabric::backend(Box::new(
+        SweepAfterListing {
+            inner: Mutex::new(sim),
+            profiles,
+            home,
+            victim: Arc::clone(&victim),
+        },
+    ))));
+    let mut server = Server::new(standard_classes());
+    let head = server.build_list("Node", 40, 16).expect("build list");
+    let mut mw = Middleware::builder()
+        .cluster_size(10)
+        .device_memory(1 << 20)
+        .no_builtin_policies()
+        .replication_factor(2)
+        .build_in_world(standard_classes(), server.into_shared(), net, home);
+    let root = mw.replicate_root(head).expect("replicate");
+    mw.set_global("head", Value::Ref(root));
+    mw.invoke_i64(root, "length", vec![]).expect("warm");
+    mw.swap_out(2).expect("swap out sc2");
+    let manager = mw.manager();
+    assert_eq!(manager.holders_of(2).expect("placed").2, stores);
+
+    // The second holder walks away: repair prunes it (no spare store to
+    // re-replicate onto) and tracks its copy as an orphan.
+    mw.net()
+        .lock()
+        .expect("net")
+        .depart(stores[1])
+        .expect("depart");
+    manager.repair_placements().expect("repair 1");
+    assert_eq!(manager.holders_of(2).expect("placed").2, vec![stores[0]]);
+
+    // It returns with the copy; the next repair lists it for re-adoption
+    // and the sweep drops it right after.
+    mw.net()
+        .lock()
+        .expect("net")
+        .arrive(stores[1])
+        .expect("arrive");
+    *victim.lock().expect("victim") = Some(stores[1]);
+    manager.repair_placements().expect("repair 2");
+    assert!(victim.lock().expect("victim").is_none(), "the sweep fired");
+    let report = mw.audit();
+    assert!(!report.has_errors(), "after the raced re-adopt:\n{report}");
+    assert_eq!(manager.holders_of(2).expect("placed").2, vec![stores[0]]);
+    // The orphan entry is still tracked; its copy is gone, so the next
+    // sweep retires it without a drop.
+    assert_eq!(manager.sweep_orphaned_blobs(), 1);
+    mw.swap_in(2).expect("reload from the remaining holder");
+    assert!(!mw.audit().has_errors());
 }
 
 /// The stress test the shard refactor exists for: one mutator thread

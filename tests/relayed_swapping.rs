@@ -100,11 +100,9 @@ fn departed_relay_means_blob_unavailable_until_it_returns() {
 }
 
 /// Two storage desktops, each behind its own relay, with
-/// `replication_factor = 2`: losing one relay between swap-out and reload
-/// must fail over to the holder on the surviving route — no panic, no
-/// opaque `NetError`.
-#[test]
-fn reload_fails_over_to_the_holder_on_the_surviving_route() {
+/// `replication_factor = 2`. Returns the warmed middleware, the list root
+/// and `(relay_a, desk_a)`, the route to the primary holder.
+fn two_relay_world() -> (Middleware, ObjRef, DeviceId, DeviceId) {
     let mut server = Server::new(standard_classes());
     let head = server.build_list("Node", 60, 8).expect("build");
     let mut mw = Middleware::builder()
@@ -118,7 +116,7 @@ fn reload_fails_over_to_the_holder_on_the_surviving_route() {
         )
         .stores(vec![]) // storage only through the relays
         .build(server);
-    let (relay_a, relay_b, desk_a, desk_b) = {
+    let (relay_a, desk_a, desk_b) = {
         let net = mw.net();
         let mut net = net.lock().expect("net");
         let relay_a = net.add_device("mote-a", DeviceKind::Mote, 0);
@@ -133,7 +131,7 @@ fn reload_fails_over_to_the_holder_on_the_surviving_route() {
             .expect("link");
         net.connect(relay_b, desk_b, LinkSpec::wifi())
             .expect("link");
-        (relay_a, relay_b, desk_a, desk_b)
+        (relay_a, desk_a, desk_b)
     };
     let root = mw.replicate_root(head).expect("replicate");
     mw.set_global("head", Value::Ref(root));
@@ -147,6 +145,14 @@ fn reload_fails_over_to_the_holder_on_the_surviving_route() {
             "both desktops hold a copy"
         );
     }
+    (mw, root, relay_a, desk_a)
+}
+
+/// Losing one relay between swap-out and reload must fail over to the
+/// holder on the surviving route — no panic, no opaque `NetError`.
+#[test]
+fn reload_fails_over_to_the_holder_on_the_surviving_route() {
+    let (mut mw, root, relay_a, _desk_a) = two_relay_world();
     // The relay in front of the primary holder walks away.
     mw.net()
         .lock()
@@ -161,7 +167,33 @@ fn reload_fails_over_to_the_holder_on_the_surviving_route() {
         stats.reload_failovers, 1,
         "the reload had to skip the unreachable primary"
     );
-    let _ = (relay_b, desk_b);
+}
+
+/// The copy a failover reload could not drop (its relay was away) is a
+/// tracked orphan; once the relay is back, the sweep reaches the holder
+/// through it and reclaims the copy.
+#[test]
+fn the_orphan_sweep_reaches_a_holder_behind_a_relay() {
+    let (mut mw, _root, relay_a, desk_a) = two_relay_world();
+    mw.net()
+        .lock()
+        .expect("net")
+        .depart(relay_a)
+        .expect("depart");
+    mw.swap_in(2).expect("failover reload via the other relay");
+    assert!(mw.net().lock().expect("net").stored_bytes(desk_a).unwrap() > 0);
+    mw.net()
+        .lock()
+        .expect("net")
+        .arrive(relay_a)
+        .expect("arrive");
+    assert_eq!(mw.manager().sweep_orphaned_blobs(), 1, "one orphan swept");
+    assert_eq!(
+        mw.net().lock().expect("net").stored_bytes(desk_a).unwrap(),
+        0,
+        "the drop crossed the relay"
+    );
+    assert!(!mw.audit().has_errors());
 }
 
 #[test]
