@@ -162,6 +162,12 @@ fn main() -> ExitCode {
         "\n{} swap-out(s), {} reload(s) during the trace",
         outcome.swap_outs, outcome.swap_ins
     );
+    println!(
+        "{} collection(s): {} full, {} minor",
+        outcome.gc_runs,
+        outcome.gc_runs - outcome.minor_gc_runs,
+        outcome.minor_gc_runs
+    );
     print!("{}", outcome.final_report);
 
     if let Some(path) = &opts.trace_out {

@@ -101,6 +101,10 @@ pub struct TraceOutcome {
     pub swap_outs: u64,
     /// Reloads the workload triggered (explicit + transparent faults).
     pub swap_ins: u64,
+    /// Collections the device heap ran, minor and full.
+    pub gc_runs: u64,
+    /// Minor collections among them (out-of-memory recoveries).
+    pub minor_gc_runs: u64,
     /// The lifecycle trace the run recorded, already exported.
     pub trace: obiwan_trace::Trace,
 }
@@ -292,11 +296,14 @@ pub fn replay(cfg: &TraceConfig) -> Result<TraceOutcome, SwapError> {
     }
 
     let stats = mw.swap_stats();
+    let heap = mw.stats().heap;
     let outcome = TraceOutcome {
         steps,
         final_report: mw.audit(),
         swap_outs: stats.swap_outs,
         swap_ins: stats.swap_ins,
+        gc_runs: heap.gc_runs,
+        minor_gc_runs: heap.minor_gc_runs,
         trace: mw.export_trace(),
     };
     // Stop the loopback daemons a TCP replay spawned (no-op for sim).

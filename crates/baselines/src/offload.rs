@@ -10,7 +10,7 @@
 //! user level so the benches can count its messages and bytes against
 //! Object-Swapping's cluster-granularity protocol.
 
-use obiwan_heap::{ObjRef, ObjectKind, Oid, Value};
+use obiwan_heap::{Collection, ObjRef, ObjectKind, Oid, Value};
 use obiwan_net::{DeviceId, SimNet, Transport};
 use obiwan_replication::Process;
 use obiwan_xml::{Element, Writer};
@@ -263,7 +263,7 @@ impl Offloader {
         );
         self.stats.offloads += 1;
         self.stats.bytes_out += bytes as u64;
-        p.collect();
+        p.collect(Collection::Full);
         Ok(bytes)
     }
 
@@ -593,7 +593,7 @@ mod tests {
         // Sever the chain before the offloaded tail: surrogates die.
         let cut = handles[2];
         p.set_field_value(cut, "next", Value::Null).unwrap();
-        p.collect();
+        p.collect(Collection::Full);
         let messages = off.run_dgc_epoch(&mut p).unwrap();
         // 3 liveness reports; at least the directly-referenced surrogate is
         // unreachable now and costs a reclamation message.

@@ -10,7 +10,7 @@
 use crate::{BenchError, Result};
 use obiwan_baselines::offload::Offloader;
 use obiwan_core::Middleware;
-use obiwan_heap::Value;
+use obiwan_heap::{Collection, Value};
 use obiwan_net::{DeviceKind, LinkSpec, SimNet, Transport};
 use obiwan_replication::{standard_classes, Process, ReplConfig, Server};
 use std::sync::{Arc, Mutex};
@@ -139,12 +139,12 @@ fn offload_row(n: usize, epochs: usize) -> Result<DgcRow> {
         .ok_or_else(|| BenchError::msg("cut node missing after fetch-back"))?;
     p.set_field_value(cut_handle, "next", Value::Null)?;
     off.offload(&mut p, cut_handle)?;
-    p.collect();
+    p.collect(Collection::Full);
     // DGC epochs: one liveness message per remote object, plus
     // reclamations.
     for _ in 0..epochs {
         off.run_dgc_epoch(&mut p)?;
-        p.collect();
+        p.collect(Collection::Full);
     }
     let stats = off.stats();
     Ok(DgcRow {

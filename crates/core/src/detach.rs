@@ -27,7 +27,7 @@ use crate::manager::{
 use crate::shard::{lock_coordinator, lock_shard, Coordinator, Shard};
 use crate::swap_cluster::SwapClusterState;
 use crate::{codec, proxy, wire, Result, SwapConfig, SwapError, SwappingManager};
-use obiwan_heap::{ObjRef, Object, ObjectKind, Value};
+use obiwan_heap::{Collection, ObjRef, Object, ObjectKind, Value};
 use obiwan_net::{Bytes, DeviceId, DeviceKind};
 use obiwan_policy::PolicyEvent;
 use obiwan_replication::Process;
@@ -162,7 +162,7 @@ impl SwappingManager {
         let shipped = ship_copies(&self.net, &prep);
         let detached = self.detach_commit(p, prep, shipped)?;
         if p.heap_mut().free_detached(&detached.members).is_none() {
-            self.reclaim(p)?;
+            self.reclaim(p, Collection::Full)?;
         }
         Ok(detached.shipped)
     }

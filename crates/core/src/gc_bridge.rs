@@ -10,29 +10,29 @@
 //! into blob drops (for replacement-objects) and table pruning (for
 //! swap-cluster-proxies, whose "finalizer invokes code that eliminates
 //! entries referring to it"). [`SwappingManager::reclaim`] is the one
-//! place the swapping layer collects, so no collection leaves its records
-//! behind.
+//! place the swapping layer collects, minor or full, so no collection
+//! leaves its records behind.
 
 use crate::manager::lock_net;
 use crate::shard::{lock_coordinator, lock_shard, Shard};
 use crate::swap_cluster::SwapClusterState;
 use crate::{Result, SwappingManager};
-use obiwan_heap::{CollectStats, ObjectKind, Oid};
+use obiwan_heap::{CollectStats, Collection, ObjectKind};
 use obiwan_net::NetFabric;
 use obiwan_placement::Placement;
 use obiwan_replication::Process;
 
 impl SwappingManager {
-    /// Collect the whole heap, run the finalizers of what died (blob
-    /// drops, table pruning) and record the `gc-run` event. Call with no
-    /// manager guard held.
+    /// Run a collection of the given kind, run the finalizers of what died
+    /// (blob drops, table pruning) and record the `gc-run` event. Call
+    /// with no manager guard held.
     ///
     /// # Errors
     ///
     /// As [`SwappingManager::process_finalized`]; the collection itself
     /// has happened by then, and no `gc-run` event is recorded.
-    pub(crate) fn reclaim(&self, p: &mut Process) -> Result<CollectStats> {
-        let stats = p.collect();
+    pub(crate) fn reclaim(&self, p: &mut Process, kind: Collection) -> Result<CollectStats> {
+        let stats = p.collect(kind);
         let dropped = self.process_finalized(p)?;
         self.recorder
             .gc_run(stats.freed_objects as u64, dropped as u64);
@@ -40,13 +40,14 @@ impl SwappingManager {
     }
 
     /// Process the finalization records of the collection that just ran:
-    /// instruct storing devices to drop blobs of dead swapped-out clusters
-    /// and prune dead proxies from the manager tables.
+    /// instruct storing devices to drop blobs of dead swapped-out clusters,
+    /// and count the dead proxies toward the next compaction of the proxy
+    /// tables ([`crate::shard::Coordinator::unlist_dead_proxies`]).
     ///
     /// Dead replacement-objects are handled per owning shard (shard → net
-    /// per the hierarchy); dead proxies are batched and pruned in one
-    /// coordinator acquisition afterwards, so coordinator and shard guards
-    /// never overlap here.
+    /// per the hierarchy); dead proxies are counted in one coordinator
+    /// acquisition afterwards, so coordinator and shard guards never
+    /// overlap here.
     ///
     /// Returns the number of blobs dropped.
     ///
@@ -58,7 +59,7 @@ impl SwappingManager {
     fn process_finalized(&self, p: &mut Process) -> Result<usize> {
         let records = p.heap_mut().take_finalized();
         let mut dropped = 0;
-        let mut dead_proxy_keys: Vec<(u32, Oid)> = Vec::new();
+        let mut dead_proxies = 0;
         for fin in records {
             match fin.kind {
                 ObjectKind::Replacement => {
@@ -91,34 +92,12 @@ impl SwappingManager {
                         }
                     }
                 }
-                ObjectKind::SwapProxy => {
-                    // fin.swap_cluster is the proxy's source, fin.oid its
-                    // target identity — exactly the reuse-table key.
-                    dead_proxy_keys.push((fin.swap_cluster, fin.oid));
-                }
+                ObjectKind::SwapProxy => dead_proxies += 1,
                 _ => {}
             }
         }
-        {
-            let mut c = lock_coordinator(&self.coordinator)?;
-            for key in dead_proxy_keys {
-                // Only remove if the slot is actually dead (the key may
-                // have been re-bound to a newer proxy).
-                if let Some(&w) = c.proxy_index.get(&key) {
-                    if p.heap().weak_get(w).is_none() {
-                        c.proxy_index.remove(&key);
-                    }
-                }
-            }
-            // Opportunistically prune dead weak entries from the
-            // per-cluster proxy lists (they accumulate as transient
-            // proxies die).
-            for list in c.inbound.values_mut() {
-                list.retain(|&w| p.heap().weak_get(w).is_some());
-            }
-            for list in c.outbound.values_mut() {
-                list.retain(|&w| p.heap().weak_get(w).is_some());
-            }
+        if dead_proxies > 0 {
+            lock_coordinator(&self.coordinator)?.unlist_dead_proxies(dead_proxies, p.heap());
         }
         Ok(dropped)
     }

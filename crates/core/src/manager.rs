@@ -22,7 +22,7 @@ use crate::recorder::Recorder;
 use crate::shard::{lock_coordinator, lock_shard, lock_shard_pair, shard_for, Coordinator, Shard};
 use crate::swap_cluster::{SwapClusterEntry, SwapClusterState};
 use crate::{Result, SwapConfig, SwapError, VictimPolicy};
-use obiwan_heap::{ObjRef, ObjectKind, Oid};
+use obiwan_heap::{ObjRef, ObjectKind, Oid, WeakRef};
 use obiwan_net::{Bytes, DeviceId, DeviceKind, NetError, NetFabric, SimDuration};
 use obiwan_placement::{HolderCandidate, PlacementTable};
 use obiwan_policy::PolicyEvent;
@@ -672,23 +672,25 @@ impl SwappingManager {
         target: ObjRef,
         oid: Oid,
     ) -> Result<ObjRef> {
-        if let Some(&weak) = c.proxy_index.get(&(source_sc, oid)) {
+        let key = (source_sc, oid);
+        if let Some(&weak) = c.proxy_index.get(&key) {
             if let Some(existing) = p.heap().weak_get(weak) {
                 self.recorder.proxy_reused(source_sc);
                 return Ok(existing);
             }
-            c.proxy_index.remove(&(source_sc, oid));
+            c.proxy_index.remove(&key);
         }
-        let proxy = self.proxy_fresh(p, c, source_sc, target, oid)?;
-        let weak = p.heap_mut().weak_ref(proxy)?;
-        c.proxy_index.insert((source_sc, oid), weak);
+        let (proxy, weak) = self.proxy_fresh(p, c, source_sc, target, oid)?;
+        c.proxy_index.insert(key, weak);
         Ok(proxy)
     }
 
     /// Create a fresh proxy for a *transient* delivery (a reference handed
-    /// as an argument or return value). The paper's Tests B1/A2 hinge on
-    /// these being created per reference and "later reclaimed by the LGC" —
-    /// they are never entered into the edge-reuse index.
+    /// as an argument or return value), listed inbound at its target's
+    /// cluster and outbound at `source_sc` under its one weak entry, which
+    /// is returned with it. The paper's Tests B1/A2 hinge on these being
+    /// created per reference and "later reclaimed by the LGC" — they are
+    /// never entered into the edge-reuse index.
     pub(crate) fn proxy_fresh(
         &self,
         p: &mut Process,
@@ -696,14 +698,14 @@ impl SwappingManager {
         source_sc: u32,
         target: ObjRef,
         oid: Oid,
-    ) -> Result<ObjRef> {
+    ) -> Result<(ObjRef, WeakRef)> {
         let proxy = proxy::create(p, source_sc, target, oid)?;
         let weak = p.heap_mut().weak_ref(proxy)?;
         let target_sc = p.heap().get(target)?.header().swap_cluster;
         c.inbound.entry(target_sc).or_default().push(weak);
         c.outbound.entry(source_sc).or_default().push(weak);
         self.recorder.proxy_created(source_sc);
-        Ok(proxy)
+        Ok((proxy, weak))
     }
 
     /// Deliver `target` (identity `oid`) into the context of `to_sc`,
@@ -737,16 +739,24 @@ impl SwappingManager {
                 proxy::retarget(p, ep, target, oid)?;
                 let target_sc = p.heap().get(target)?.header().swap_cluster;
                 if target_sc != prev_sc {
-                    // Crossing into a new cluster: (re-)register as inbound
+                    // Crossing into a new cluster: move its inbound entry
                     // there so swap-out / reload keep patching it.
-                    let weak = p.heap_mut().weak_ref(ep)?;
+                    let heap = p.heap();
+                    let moved = c.inbound.get_mut(&prev_sc).and_then(|list| {
+                        let at = list.iter().position(|&w| heap.weak_get(w) == Some(ep))?;
+                        Some(list.remove(at))
+                    });
+                    let weak = match moved {
+                        Some(weak) => weak,
+                        None => p.heap_mut().weak_ref(ep)?,
+                    };
                     c.inbound.entry(target_sc).or_default().push(weak);
                 }
                 self.recorder.assign_patch(target_sc);
                 return Ok(ep);
             }
         }
-        self.proxy_fresh(p, c, to_sc, target, oid)
+        Ok(self.proxy_fresh(p, c, to_sc, target, oid)?.0)
     }
 
     /// The complete transfer rule for a reference moving into `to_sc`.
@@ -1244,6 +1254,54 @@ mod tests {
         }
         registry.sort_unstable_by_key(|(id, _)| *id);
         (m, registry)
+    }
+
+    #[test]
+    fn a_crossing_cursor_moves_its_inbound_entry() {
+        use crate::Middleware;
+        use obiwan_heap::Value;
+        use obiwan_replication::{standard_classes, Server};
+
+        let mut server = Server::new(standard_classes());
+        let head = server.build_list("Node", 600, 8).unwrap();
+        let mut mw = Middleware::builder()
+            .cluster_size(10)
+            .device_memory(1 << 22)
+            .no_builtin_policies()
+            .build(server);
+        let root = mw.replicate_root(head).unwrap();
+        mw.set_global("head", Value::Ref(root));
+        // Replicate the whole list: one plain walk (`length` recurses too
+        // deep for a test thread's stack).
+        let mut at = root;
+        while let Value::Ref(next) = mw.invoke(at, "next", vec![]).unwrap() {
+            at = next;
+        }
+        let cursor = mw.make_cursor(root).unwrap();
+        mw.set_global("cursor", Value::Ref(cursor));
+        let before = mw.swap_stats().assign_patches;
+        while let Value::Ref(next) = mw.invoke(cursor, "next", vec![]).unwrap() {
+            assert_eq!(next, cursor, "the marked cursor patches itself");
+        }
+        assert_eq!(mw.swap_stats().assign_patches - before, 599);
+        mw.run_gc().unwrap();
+
+        let manager = mw.manager();
+        let c = lock_coordinator(&manager.coordinator).unwrap();
+        let heap = mw.process().heap();
+        let listing: Vec<u32> = c
+            .inbound
+            .iter()
+            .flat_map(|(&sc, list)| list.iter().map(move |&w| (sc, w)))
+            .filter(|&(_, w)| heap.weak_get(w) == Some(cursor))
+            .map(|(sc, _)| sc)
+            .collect();
+        let tail = heap.get(proxy::target_of(mw.process(), cursor).unwrap());
+        assert_eq!(
+            listing,
+            vec![tail.unwrap().header().swap_cluster],
+            "the cursor is listed once, at the cluster it points into"
+        );
     }
 
     #[test]

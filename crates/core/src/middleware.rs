@@ -6,7 +6,7 @@ use crate::manager::{
     lock_net, repl_to_swap, InterceptorShim, SharedManager, SharedNet, SwapStats,
 };
 use crate::{identity, Result, SwapConfig, SwapError, SwappingManager, VictimPolicy};
-use obiwan_heap::{HeapStats, ObjRef, Oid, Value};
+use obiwan_heap::{Collection, HeapStats, ObjRef, Oid, Value};
 use obiwan_net::{DeviceId, DeviceKind, LinkSpec, NetFabric, SimNet, SimTime, Transport};
 use obiwan_policy::{
     default_swap_policies, Action, ContextManager, PolicyEngine, PolicyEvent, Watermarks,
@@ -438,11 +438,15 @@ impl Middleware {
         Ok(self.invoke(target, method, args)?.expect_ref()?)
     }
 
-    /// Invoke with the paper's recovery loop: on out-of-memory, collect,
-    /// swap out victims until occupancy falls to the low watermark
-    /// ([`SwappingManager::swap_out_victims_to`], which frees each victim's
-    /// members as its detach commits), and retry (up to `retries` times).
-    /// A recovery is one collection however many victims it evicts.
+    /// Invoke with the paper's recovery loop: on out-of-memory, collect
+    /// the nursery, swap out victims until occupancy falls to the low
+    /// watermark ([`SwappingManager::swap_out_victims_to`], which frees
+    /// each victim's members as its detach commits), and retry (up to
+    /// `retries` times). A recovery is one minor collection however many
+    /// victims it evicts: the proxies that pages mint and drop die young.
+    /// When that frees nothing and nothing is evictable, the recovery runs
+    /// one full collection before it gives up, so garbage that outlived a
+    /// collection never causes a spurious out-of-memory failure.
     ///
     /// Note that a single operation whose working set exceeds device memory
     /// (e.g. a recursion that keeps every visited cluster live on the call
@@ -495,7 +499,7 @@ impl Middleware {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_out_of_memory() && attempt < retries => {
                     attempt += 1;
-                    self.run_gc()?;
+                    self.reclaim(Collection::Minor)?;
                     let capacity = self.process.heap().capacity();
                     let floor = capacity / 100 * self.context.watermarks().low_pct as usize;
                     // Evict at least one victim (guaranteeing forward
@@ -503,9 +507,13 @@ impl Middleware {
                     // the watermark), then keep evicting down to the floor.
                     let evicted = self.manager.swap_out_victims_to(&mut self.process, floor)?;
                     self.debug_self_audit("swap_out_victims_to");
-                    let progress = evicted > 0 || self.process.heap().bytes_used() < used_before;
-                    if !progress {
-                        return Err(e);
+                    let freed = |mw: &Self| mw.process.heap().bytes_used() < used_before;
+                    if evicted == 0 && !freed(self) {
+                        // The backstop: garbage older than the nursery.
+                        self.reclaim(Collection::Full)?;
+                        if !freed(self) {
+                            return Err(e);
+                        }
                     }
                 }
                 Err(e) => return Err(e),
@@ -583,14 +591,20 @@ impl Middleware {
         out
     }
 
-    /// Run a collection and process finalizers (blob drops, table pruning).
+    /// Run a full collection and process finalizers (blob drops, table
+    /// pruning).
     ///
     /// # Errors
     ///
     /// [`SwapError::LockPoisoned`] when a manager or net lock is poisoned.
     pub fn run_gc(&mut self) -> Result<obiwan_heap::CollectStats> {
-        let out = self.manager.reclaim(&mut self.process);
-        self.debug_self_audit("run_gc");
+        self.reclaim(Collection::Full)
+    }
+
+    /// [`SwappingManager::reclaim`] plus the debug self-audit.
+    fn reclaim(&mut self, kind: Collection) -> Result<obiwan_heap::CollectStats> {
+        let out = self.manager.reclaim(&mut self.process, kind);
+        self.debug_self_audit("reclaim");
         out
     }
 

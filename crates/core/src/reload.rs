@@ -405,9 +405,12 @@ impl SwappingManager {
 
         // The replacement-object is no longer needed: nothing in the
         // application graph references it, so it is garbage; neutralize its
-        // finalizer so its collection does not instruct a second drop.
+        // finalizer so its collection does not instruct a second drop, and
+        // retire it to the nursery so the next collection, minor or full,
+        // frees it.
         if p.heap().is_live(replacement) {
             p.heap_mut().header_mut(replacement)?.finalize = false;
+            p.heap_mut().retire(replacement);
         }
         // Loaded again: retire the placement and drop every copy it lists
         // now, including any a repair pass added while the bytes moved.

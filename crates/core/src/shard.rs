@@ -16,7 +16,7 @@
 
 use crate::swap_cluster::SwapClusterEntry;
 use crate::{Result, SwapConfig, SwapError};
-use obiwan_heap::{Oid, WeakRef};
+use obiwan_heap::{Heap, Oid, WeakRef};
 use obiwan_net::{DeviceId, DeviceKind};
 use obiwan_placement::PlacementTable;
 use obiwan_policy::PolicyEvent;
@@ -55,6 +55,11 @@ pub(crate) struct Coordinator {
     pub(crate) inbound: BTreeMap<u32, Vec<WeakRef>>,
     /// Proxies whose *source* is the keyed swap-cluster (outbound).
     pub(crate) outbound: BTreeMap<u32, Vec<WeakRef>>,
+    /// Proxies that died since the three tables above were last compacted.
+    /// A dead proxy's entries resolve to `None` until then.
+    pub(crate) dead_proxies: usize,
+    /// How many entries the tables held after their last compaction.
+    pub(crate) compacted_entries: usize,
     /// Mapping replication cluster → swap-cluster (grouping).
     pub(crate) repl_to_sc: BTreeMap<u32, u32>,
     pub(crate) next_sc: u32,
@@ -70,10 +75,33 @@ impl Coordinator {
             proxy_index: BTreeMap::new(),
             inbound: BTreeMap::new(),
             outbound: BTreeMap::new(),
+            dead_proxies: 0,
+            compacted_entries: 0,
             repl_to_sc: BTreeMap::new(),
             next_sc: 1,
             events: Vec::new(),
         }
+    }
+
+    /// Count `dead` proxy deaths, and drop every dead entry from the proxy
+    /// tables once the deaths since the last compaction reach the entries
+    /// that compaction left. A compaction costs what was listed since, plus
+    /// the deaths that paid for it, so each death and each registration
+    /// costs amortized constant time, and the survivors keep their order.
+    pub(crate) fn unlist_dead_proxies(&mut self, dead: usize, heap: &Heap) {
+        self.dead_proxies += dead;
+        if self.dead_proxies < self.compacted_entries {
+            return;
+        }
+        let live = |w: &WeakRef| heap.weak_get(*w).is_some();
+        self.proxy_index.retain(|_, w| live(w));
+        let mut entries = self.proxy_index.len();
+        for list in self.inbound.values_mut().chain(self.outbound.values_mut()) {
+            list.retain(live);
+            entries += list.len();
+        }
+        self.dead_proxies = 0;
+        self.compacted_entries = entries;
     }
 }
 

@@ -3,14 +3,18 @@
 //! their victims at commit without a collection and leave no finalization
 //! record behind, and the one collection a root-held victim costs runs the
 //! finalizers before the call returns. A detach refused for lack of room
-//! for its replacement-object leaves no half-built one behind. No test
-//! here calls `run_gc`.
+//! for its replacement-object leaves no half-built one behind. An
+//! out-of-memory recovery collects the nursery only, and falls back to one
+//! full collection when that frees nothing and nothing is evictable. No
+//! test here calls `run_gc`.
 
 #![allow(clippy::disallowed_methods)] // tests may panic on impossible states
 
 use obiwan_core::{Middleware, StoreSpec, SwapClusterState, SwapConfig, SwapError};
-use obiwan_heap::{HeapError, Oid, Value};
-use obiwan_net::DeviceKind;
+
+use obiwan_heap::{Collection, HeapError, HeapStats, ObjectKind, Oid, Value};
+use obiwan_net::{Bytes, DeviceKind};
+use obiwan_policy::Watermarks;
 use obiwan_replication::{standard_classes, Server};
 use obiwan_trace::EventKind;
 
@@ -219,4 +223,95 @@ fn a_detach_refused_for_its_replacement_leaves_no_half_built_one() {
     mw.swap_out(sc).unwrap();
     let report = mw.audit();
     assert!(report.is_clean(), "{report}");
+}
+
+/// `(full, minor)` collections between two heap snapshots.
+fn collections(before: HeapStats, after: HeapStats) -> (u64, u64) {
+    let minor = after.minor_gc_runs - before.minor_gc_runs;
+    (after.gc_runs - before.gc_runs - minor, minor)
+}
+
+#[test]
+fn a_recovery_collects_the_nursery_and_no_more() {
+    let mut server = Server::new(standard_classes());
+    let head = server.build_list("Node", 600, 48).unwrap();
+    let mut mw = Middleware::builder()
+        .cluster_size(10)
+        .device_memory(24 << 10)
+        .watermarks(Watermarks::new(60, 90))
+        .no_builtin_policies()
+        .build(server);
+    let mut cursor = mw.replicate_root(head).unwrap();
+    mw.set_global("cursor", Value::Ref(cursor));
+    let mut recoveries = 0;
+    for _ in 1..600 {
+        let (heap_before, swaps_before) = (mw.stats().heap, mw.swap_stats().swap_outs);
+        let next = mw
+            .invoke_resilient(cursor, "next", vec![], 100)
+            .unwrap()
+            .expect_ref()
+            .unwrap();
+        mw.set_global("cursor", Value::Ref(next));
+        cursor = next;
+        let (full, minor) = collections(heap_before, mw.stats().heap);
+        assert_eq!(full, 0, "a recovery ran a full collection");
+        if mw.swap_stats().swap_outs > swaps_before {
+            assert!(minor >= 1, "a recovery evicted without collecting");
+        }
+        recoveries += minor;
+    }
+    assert!(recoveries > 3, "only {recoveries} recoveries");
+    let report = mw.audit();
+    assert!(!report.has_errors(), "{report}");
+}
+
+#[test]
+fn old_garbage_is_freed_by_the_backstop_when_nothing_is_evictable() {
+    let mut mw = list_world(None);
+    let root = mw.global("head").unwrap().expect_ref().unwrap();
+    assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), 200);
+    for sc in mw.manager().loaded_clusters() {
+        mw.swap_out(sc).unwrap();
+    }
+    // 64 KiB of junk that survives a full collection and then dies: old
+    // garbage, which only a full collection frees.
+    let node = mw.process().universe().registry.class_id("Node").unwrap();
+    let heap = mw.process_mut().heap_mut();
+    for i in 0..8 {
+        let junk = heap.alloc(node, ObjectKind::App).unwrap();
+        heap.set_field_by_name(
+            junk,
+            "payload",
+            Value::Bytes(Bytes::from(vec![0u8; 8 << 10])),
+        )
+        .unwrap();
+        heap.set_global(format!("junk{i}"), Value::Ref(junk));
+    }
+    mw.process_mut().collect(Collection::Full);
+    for i in 0..8 {
+        mw.process_mut()
+            .heap_mut()
+            .remove_global(&format!("junk{i}"));
+    }
+    // No room to reload the head's cluster until the junk is gone, and no
+    // loaded cluster to evict.
+    let used = mw.process().heap().bytes_used();
+    mw.process_mut().heap_mut().set_capacity(used + 64);
+    assert!(mw.manager().loaded_clusters().is_empty());
+
+    let before = mw.stats().heap;
+    assert_eq!(
+        mw.invoke_resilient(root, "length", vec![], 10).unwrap(),
+        Value::Int(200)
+    );
+    let after = mw.stats().heap;
+    let (full, minor) = collections(before, after);
+    assert!(minor >= 1, "the recovery starts with a minor collection");
+    assert!(full >= 1, "the backstop ran a full collection");
+    assert!(
+        after.total_frees - before.total_frees >= 8,
+        "the junk is freed"
+    );
+    let report = mw.audit();
+    assert!(!report.has_errors(), "{report}");
 }

@@ -84,6 +84,83 @@ pub(crate) fn slot_at(slabs: &[Vec<Slot>], index: u32) -> Option<&Slot> {
         .get((index & SLAB_MASK) as usize)
 }
 
+/// A set of slot indices kept as a bitmap: constant-time membership, and
+/// iteration in ascending slot order (the sweep's order).
+#[derive(Debug, Default)]
+pub(crate) struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    /// Add `index`; `false` when it was already there.
+    pub(crate) fn insert(&mut self, index: u32) -> bool {
+        let (word, bit) = ((index >> 6) as usize, 1u64 << (index & 63));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+
+    pub(crate) fn remove(&mut self, index: u32) {
+        if let Some(w) = self.words.get_mut((index >> 6) as usize) {
+            *w &= !(1u64 << (index & 63));
+        }
+    }
+
+    pub(crate) fn contains(&self, index: u32) -> bool {
+        self.words
+            .get((index >> 6) as usize)
+            .is_some_and(|w| w & (1u64 << (index & 63)) != 0)
+    }
+
+    /// Empty the set, keeping its storage.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The members of either set.
+    pub(crate) fn union(&self, other: &SlotSet) -> SlotSet {
+        let (long, short) = if self.words.len() >= other.words.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let mut words = long.words.clone();
+        for (w, o) in words.iter_mut().zip(&short.words) {
+            *w |= o;
+        }
+        SlotSet { words }
+    }
+
+    /// The members of both sets.
+    pub(crate) fn intersection(&self, other: &SlotSet) -> SlotSet {
+        SlotSet {
+            words: self
+                .words
+                .iter()
+                .zip(&other.words)
+                .map(|(a, b)| a & b)
+                .collect(),
+        }
+    }
+
+    /// The members in ascending order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    ((i as u32) << 6) | bit
+                })
+            })
+        })
+    }
+}
+
 /// The managed heap of one device: slab arena, globals, pins, weak table,
 /// accounting, and the collector (in the `gc` module).
 ///
@@ -104,6 +181,15 @@ pub struct Heap {
     /// per-object `pinned` header bit).
     pub(crate) extra_roots: Vec<ObjRef>,
     pub(crate) weak: WeakTable,
+    /// The nursery: slots adopted (or retired) since the last collection.
+    pub(crate) nursery: SlotSet,
+    /// Slots that survived one minor collection in the nursery. With the
+    /// nursery they make up the young generation, which a minor collection
+    /// traces.
+    pub(crate) survivors: SlotSet,
+    /// Old slots that may point into the young generation: the write
+    /// barrier's remembered set.
+    pub(crate) remembered: SlotSet,
     pub(crate) finalized: Vec<Finalized>,
     pub(crate) bytes_used: usize,
     capacity: usize,
@@ -111,6 +197,7 @@ pub struct Heap {
     pub(crate) total_allocs: u64,
     pub(crate) total_frees: u64,
     pub(crate) gc_runs: u64,
+    pub(crate) minor_gc_runs: u64,
     pub(crate) peak_bytes: usize,
 }
 
@@ -126,6 +213,9 @@ impl Heap {
             globals: HashMap::new(),
             extra_roots: Vec::new(),
             weak: WeakTable::default(),
+            nursery: SlotSet::default(),
+            survivors: SlotSet::default(),
+            remembered: SlotSet::default(),
             finalized: Vec::new(),
             bytes_used: 0,
             capacity,
@@ -133,6 +223,7 @@ impl Heap {
             total_allocs: 0,
             total_frees: 0,
             gc_runs: 0,
+            minor_gc_runs: 0,
             peak_bytes: 0,
         }
     }
@@ -183,12 +274,13 @@ impl Heap {
         })
     }
 
-    /// Put a finished object into a slot: pop the free list (LIFO, so the
-    /// reuse order matches the old `Vec<u32>` free stack exactly) or extend
-    /// the tail slab.
+    /// Put a finished object into a slot of the nursery: pop the free list
+    /// (LIFO, so the reuse order matches the old `Vec<u32>` free stack
+    /// exactly) or extend the tail slab.
     fn place(&mut self, obj: Object) -> ObjRef {
         if self.free_head != NO_SLOT {
             let index = self.free_head;
+            self.nursery.insert(index);
             let slab = &mut self.slabs[(index >> SLAB_SHIFT) as usize];
             let slot = &mut slab[(index & SLAB_MASK) as usize];
             self.free_head = match slot.body {
@@ -202,6 +294,7 @@ impl Heap {
             };
         }
         let index = self.slot_count;
+        self.nursery.insert(index);
         let slab_index = (index >> SLAB_SHIFT) as usize;
         if slab_index == self.slabs.len() {
             self.slabs.push(Vec::with_capacity(SLAB_CAPACITY));
@@ -329,6 +422,25 @@ impl Heap {
         }
     }
 
+    /// Put a live object back in the nursery, as if just adopted, so that
+    /// the next collection, minor or full, decides whether it still lives.
+    /// The swap layer retires a reloaded cluster's replacement-object this
+    /// way: the reload has unhooked it, and a minor collection would
+    /// otherwise leave it to the next full one.
+    ///
+    /// The caller must know that no live old object holds `obj` (a root
+    /// may): a minor collection does not trace old objects outside the
+    /// remembered set, so it would free `obj` under such a holder. Debug
+    /// builds check every minor collection against a full mark and panic
+    /// if that happens. A stale handle is ignored.
+    pub fn retire(&mut self, obj: ObjRef) {
+        if self.is_live(obj) {
+            self.remembered.remove(obj.index);
+            self.survivors.remove(obj.index);
+            self.nursery.insert(obj.index);
+        }
+    }
+
     /// Whether the handle refers to a live object.
     pub fn is_live(&self, obj: ObjRef) -> bool {
         self.get(obj).is_ok()
@@ -407,7 +519,13 @@ impl Heap {
     /// A refused write (out of memory, bad handle or index) leaves the heap
     /// unchanged. Graph surgery's common case, a payload-free value over a
     /// payload-free one, takes no class lookup and changes no byte count.
+    ///
+    /// The write barrier: a reference into the young generation stored in
+    /// an old object puts that object in the remembered set, whose fields
+    /// the next minor collection marks from.
     fn store(&mut self, obj: ObjRef, index: usize, value: Value) -> Result<()> {
+        let remember =
+            matches!(value, Value::Ref(t) if self.is_young(t.index)) && !self.is_young(obj.index);
         let (capacity, bytes_used) = (self.capacity, self.bytes_used);
         let o = self.object_mut(obj)?;
         let Some(slot) = o.fields.get_mut(index) else {
@@ -427,7 +545,15 @@ impl Heap {
         o.charged_size = o.charged_size + new_payload - old_payload;
         self.bytes_used = bytes_used + new_payload - old_payload;
         self.peak_bytes = self.peak_bytes.max(self.bytes_used);
+        if remember {
+            self.remembered.insert(obj.index);
+        }
         Ok(())
+    }
+
+    /// Whether slot `index` is in the young generation.
+    pub(crate) fn is_young(&self, index: u32) -> bool {
+        self.nursery.contains(index) || self.survivors.contains(index)
     }
 
     /// The out-of-range error for field `index` of an object of `class`,
@@ -554,6 +680,9 @@ impl Heap {
             slot.body = SlotBody::Free { next_free };
         }
         self.free_head = index;
+        self.nursery.remove(index);
+        self.survivors.remove(index);
+        self.remembered.remove(index);
         self.bytes_used -= freed_bytes;
         self.live_objects -= 1;
         self.total_frees += 1;

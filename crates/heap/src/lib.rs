@@ -12,7 +12,9 @@
 //!   [`Value`] fields;
 //! * a precise **mark-sweep collector** ([`Heap::collect`]) reclaims
 //!   everything unreachable from the global variables (the paper's
-//!   *swap-cluster-0*) and pinned middleware anchors;
+//!   *swap-cluster-0*) and pinned middleware anchors, and a **minor
+//!   collection** ([`Heap::collect_minor`]) that traces only the objects
+//!   adopted since the last collection, behind a write barrier;
 //! * **weak references** ([`WeakRef`]) back the SwappingManager's proxy
 //!   tables, exactly as the paper prescribes;
 //! * **finalization records** ([`Finalized`]) replace C# finalizers: after a
@@ -65,7 +67,7 @@ pub use class::{
     ClassBuilder, ClassDescriptor, ClassId, ClassRegistry, FieldDescriptor, FieldId, FieldKind,
 };
 pub use error::HeapError;
-pub use gc::{CollectStats, Finalized};
+pub use gc::{CollectStats, Collection, Finalized};
 pub use heap::{Heap, ObjRef};
 pub use object::{Object, ObjectHeader, ObjectKind, Oid};
 pub use stats::HeapStats;

@@ -18,8 +18,10 @@ pub struct HeapStats {
     pub total_allocs: u64,
     /// Cumulative frees.
     pub total_frees: u64,
-    /// Collections run.
+    /// Collections run, minor and full.
     pub gc_runs: u64,
+    /// Minor collections run (a share of `gc_runs`).
+    pub minor_gc_runs: u64,
 }
 
 impl HeapStats {
@@ -44,6 +46,7 @@ impl Heap {
             total_allocs: self.total_allocs,
             total_frees: self.total_frees,
             gc_runs: self.gc_runs,
+            minor_gc_runs: self.minor_gc_runs,
         }
     }
 }
@@ -69,6 +72,10 @@ mod tests {
         assert_eq!(s.total_frees, 1);
         assert_eq!(s.live_objects, 1);
         assert_eq!(s.gc_runs, 1);
+        assert_eq!(s.minor_gc_runs, 0);
+        heap.collect_minor();
+        let s = heap.stats();
+        assert_eq!((s.gc_runs, s.minor_gc_runs), (2, 1));
         assert!(s.peak_bytes >= s.bytes_used);
         assert!(s.occupancy() > 0.0 && s.occupancy() < 1.0);
     }

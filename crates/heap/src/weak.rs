@@ -10,6 +10,11 @@
 //! resolving to `None` instead of aliasing the new occupant. Without
 //! recycling, the table would grow by one slot per proxy ever created —
 //! a real leak under sustained load (the Criterion benches caught it).
+//!
+//! A weak entry created before the collection before last points at an
+//! object that is old by now, which only a full collection can free; so a
+//! minor collection clears only the entries created since the collection
+//! before last.
 
 use crate::ObjRef;
 
@@ -25,6 +30,8 @@ pub struct WeakRef {
 struct Entry {
     generation: u32,
     target: Option<ObjRef>,
+    /// Listed in [`WeakTable::young`] or [`WeakTable::aged`].
+    young: bool,
 }
 
 /// The table of weak entries. Sweeps clear entries whose targets died and
@@ -33,29 +40,35 @@ struct Entry {
 pub(crate) struct WeakTable {
     entries: Vec<Entry>,
     free: Vec<u32>,
+    /// Entries (re)filled since the last collection, each listed once.
+    young: Vec<u32>,
+    /// Entries filled before the last collection, a minor one, that it did
+    /// not clear.
+    aged: Vec<u32>,
 }
 
 impl WeakTable {
     pub(crate) fn create(&mut self, target: ObjRef) -> WeakRef {
-        match self.free.pop() {
-            Some(index) => {
-                let entry = &mut self.entries[index as usize];
-                entry.target = Some(target);
-                WeakRef {
-                    index,
-                    generation: entry.generation,
-                }
-            }
+        let index = match self.free.pop() {
+            Some(index) => index,
             None => {
                 self.entries.push(Entry {
                     generation: 0,
-                    target: Some(target),
+                    target: None,
+                    young: false,
                 });
-                WeakRef {
-                    index: self.entries.len() as u32 - 1,
-                    generation: 0,
-                }
+                self.entries.len() as u32 - 1
             }
+        };
+        let entry = &mut self.entries[index as usize];
+        entry.target = Some(target);
+        if !entry.young {
+            entry.young = true;
+            self.young.push(index);
+        }
+        WeakRef {
+            index,
+            generation: entry.generation,
         }
     }
 
@@ -77,15 +90,42 @@ impl WeakTable {
 
     /// Clear (and recycle) every entry whose target satisfies `dead`.
     pub(crate) fn clear_dead(&mut self, mut dead: impl FnMut(ObjRef) -> bool) {
-        for (index, entry) in self.entries.iter_mut().enumerate() {
-            if let Some(target) = entry.target {
-                if dead(target) {
-                    entry.target = None;
-                    entry.generation = entry.generation.wrapping_add(1);
-                    self.free.push(index as u32);
-                }
+        for index in 0..self.entries.len() as u32 {
+            self.entries[index as usize].young = false;
+            self.clear_if_dead(index, &mut dead);
+        }
+        self.young.clear();
+        self.aged.clear();
+    }
+
+    /// Clear (and recycle) the entries created since the collection before
+    /// last whose target satisfies `dead`; the survivors created since the
+    /// last collection are checked once more by the next one.
+    pub(crate) fn clear_dead_young(&mut self, mut dead: impl FnMut(ObjRef) -> bool) {
+        for index in std::mem::take(&mut self.aged) {
+            self.entries[index as usize].young = false;
+            self.clear_if_dead(index, &mut dead);
+        }
+        for index in std::mem::take(&mut self.young) {
+            if self.clear_if_dead(index, &mut dead) {
+                self.entries[index as usize].young = false;
+            } else {
+                self.aged.push(index);
             }
         }
+    }
+
+    /// Clear and recycle entry `index` if its target satisfies `dead`;
+    /// whether it did.
+    fn clear_if_dead(&mut self, index: u32, dead: &mut impl FnMut(ObjRef) -> bool) -> bool {
+        let entry = &mut self.entries[index as usize];
+        if !entry.target.is_some_and(&mut *dead) {
+            return false;
+        }
+        entry.target = None;
+        entry.generation = entry.generation.wrapping_add(1);
+        self.free.push(index);
+        true
     }
 
     /// Number of live (occupied) entries.
@@ -142,6 +182,35 @@ mod tests {
         assert_eq!(w2.index, w.index, "cleared slot is reused");
         assert_eq!(t.get(w), None, "old handle cannot see the new target");
         assert_eq!(t.get(w2), Some(r(2)));
+    }
+
+    #[test]
+    fn a_young_clear_checks_entries_until_they_outlive_two_collections() {
+        let mut t = WeakTable::default();
+        let old = t.create(r(1));
+        t.clear_dead(|_| false);
+        let aged = t.create(r(2));
+        t.clear_dead_young(|_| false);
+        let young = t.create(r(3));
+        t.clear_dead_young(|_| true);
+        assert_eq!(t.get(old), Some(r(1)), "older than the last full clear");
+        assert_eq!(t.get(aged), None, "checked by its second collection");
+        assert_eq!(t.get(young), None);
+        // A third collection no longer looks at an entry.
+        let w = t.create(r(4));
+        t.clear_dead_young(|_| false);
+        t.clear_dead_young(|_| false);
+        t.clear_dead_young(|_| true);
+        assert_eq!(t.get(w), Some(r(4)));
+        // A recycled slot is young again, listed once however often it is
+        // refilled and dropped.
+        for target in 5..8 {
+            let w = t.create(r(target));
+            t.drop_ref(w);
+        }
+        assert_eq!(t.young.len(), 1);
+        t.clear_dead(|_| true);
+        assert_eq!(t.get(old), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests for heap invariants: accounting never drifts,
 //! a refused store or adoption changes nothing, generational handles never
 //! alias, GC is precise with respect to the reachable set computed
-//! independently.
+//! independently, and a minor collection never frees what a full mark
+//! reaches.
 
 // Tests assert on known-good setups; panicking on failure is the point.
 #![allow(clippy::disallowed_methods)]
@@ -57,7 +58,16 @@ enum Op {
     RootToggle {
         at: usize,
     },
+    SetGlobal {
+        name: usize,
+        at: Option<usize>,
+    },
+    FreeDetached {
+        at: usize,
+    },
     Collect,
+    CollectMinor,
+    CollectMinorThenFull,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -76,7 +86,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
         1 => (any::<prop::sample::Index>(), 0usize..6, 0usize..64)
             .prop_map(|(b, extras, len)| Op::AdoptArray { to: b.index(usize::MAX - 1), extras, len }),
         2 => any::<prop::sample::Index>().prop_map(|i| Op::RootToggle { at: i.index(usize::MAX - 1) }),
+        2 => (0usize..3, any::<bool>(), any::<prop::sample::Index>())
+            .prop_map(|(name, set, i)| Op::SetGlobal { name, at: set.then(|| i.index(usize::MAX - 1)) }),
+        1 => any::<prop::sample::Index>().prop_map(|i| Op::FreeDetached { at: i.index(usize::MAX - 1) }),
         1 => Just(Op::Collect),
+        4 => Just(Op::CollectMinor),
+        1 => Just(Op::CollectMinorThenFull),
     ]
 }
 
@@ -151,7 +166,7 @@ fn check_adopt(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn accounting_and_gc_invariants(
@@ -242,13 +257,46 @@ proptest! {
                     }
                     None
                 }
-                Op::Collect => {
+                Op::SetGlobal { name, at } => {
+                    let value = match at {
+                        Some(at) if !handles.is_empty() => Value::Ref(handles[at % handles.len()]),
+                        _ => Value::Null,
+                    };
+                    heap.set_global(format!("g{name}"), value);
+                    None
+                }
+                Op::FreeDetached { at } if !handles.is_empty() => {
+                    // Only what no root reaches may be freed directly.
+                    let f = handles[at % handles.len()];
+                    if heap.is_live(f) && !reachable(&heap, &rooted).contains(&f.index()) {
+                        prop_assert_eq!(heap.free_detached(&[f]), Some(1));
+                    }
+                    None
+                }
+                Op::Collect | Op::CollectMinorThenFull => {
                     let expected_live = reachable(&heap, &rooted);
+                    if matches!(op, Op::CollectMinorThenFull) {
+                        heap.collect_minor();
+                    }
                     heap.collect();
                     let actual_live: HashSet<u32> =
                         heap.iter_live().map(|r| r.index()).collect();
                     prop_assert_eq!(&actual_live, &expected_live,
                         "GC must free exactly the unreachable objects");
+                    rooted.retain(|r| heap.is_live(*r));
+                    None
+                }
+                Op::CollectMinor => {
+                    let reached: Vec<ObjRef> = reachable(&heap, &rooted)
+                        .into_iter()
+                        .filter_map(|index| heap.iter_live().find(|r| r.index() == index))
+                        .collect();
+                    let stats = heap.collect_minor();
+                    for r in reached {
+                        prop_assert!(heap.is_live(r),
+                            "a minor collection freed {} which a full mark reaches", r);
+                    }
+                    prop_assert_eq!(stats.live_objects, heap.live_objects());
                     rooted.retain(|r| heap.is_live(*r));
                     None
                 }

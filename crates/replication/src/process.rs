@@ -4,7 +4,7 @@ use crate::methods::{
     Universe, FAULT_PROXY_CLASS_NAME, REPLACEMENT_CLASS_NAME, SWAP_PROXY_CLASS_NAME,
 };
 use crate::{ReplError, ReplicationEvent, Result, SharedServer, WireValue};
-use obiwan_heap::{FieldId, Heap, ObjRef, Object, ObjectKind, Oid, Value};
+use obiwan_heap::{Collection, FieldId, Heap, ObjRef, Object, ObjectKind, Oid, Value};
 use std::collections::HashMap;
 
 /// Public name of the object-fault proxy class (see [`crate::Universe`]).
@@ -269,16 +269,23 @@ impl Process {
         !self.events.is_empty()
     }
 
-    /// Run a collection and prune the runtime tables (object table, fault
-    /// proxy registry) of entries whose objects died — the equivalent of a
-    /// VM object table holding its entries weakly. Prefer this over
-    /// collecting the raw heap.
-    pub fn collect(&mut self) -> obiwan_heap::CollectStats {
-        let stats = self.heap.collect();
-        let heap = &self.heap;
-        self.oid_map.retain(|_, r| heap.is_live(*r));
-        self.fault_proxies.retain(|_, r| heap.is_live(*r));
-        stats
+    /// Run a collection of the given kind and drop the runtime tables'
+    /// (object table, fault proxy registry) entries for the objects it
+    /// freed — the equivalent of a VM object table holding its entries
+    /// weakly. The work is per dead replica or fault proxy, not per entry.
+    /// Prefer this over collecting the raw heap.
+    pub fn collect(&mut self, kind: Collection) -> obiwan_heap::CollectStats {
+        let (replicas, fault_proxies) = (&mut self.oid_map, &mut self.fault_proxies);
+        self.heap.collect_with(kind, |dead, header| {
+            let table = match header.kind {
+                ObjectKind::App => &mut *replicas,
+                ObjectKind::FaultProxy => &mut *fault_proxies,
+                _ => return,
+            };
+            if table.get(&header.oid) == Some(&dead) {
+                table.remove(&header.oid);
+            }
+        })
     }
 
     // --- Identity bookkeeping shared with the swap layer -------------------
