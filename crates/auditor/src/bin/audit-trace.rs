@@ -34,7 +34,7 @@ OPTIONS:
                         across shards                        [default: 8]
     --transport <T>     swap fabric to replay over: sim (deterministic
                         simulation) | tcp (in-process obiwan-blobd daemons
-                        behind the actor runtime, real sockets)
+                        behind the netd fabric, real sockets)
                                                              [default: sim]
     --churn             scripted churn: every 25 steps a storage device
                         departs and the previous absentee returns,

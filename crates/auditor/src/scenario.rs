@@ -45,7 +45,7 @@ pub struct TraceConfig {
     /// Which transport the replay runs over. `Sim` (the default) is the
     /// deterministic simulation; `Tcp` spawns one in-process
     /// `obiwan-blobd` daemon per storage device and drives the identical
-    /// workload through the actor runtime over real sockets. Step
+    /// workload through the `obiwan-netd` fabric over real sockets. Step
     /// schedules stay deterministic either way (the schedule is seeded);
     /// wall-clock timestamps in the exported trace do not.
     pub transport: obiwan_net::TransportKind,
@@ -166,8 +166,8 @@ pub fn replay(cfg: &TraceConfig) -> Result<TraceOutcome, SwapError> {
         );
     }
     // Over TCP the room is assembled externally: one in-process
-    // `obiwan-blobd` daemon per storage device, fronted by the actor
-    // runtime. The daemon handles keep the processes alive for the whole
+    // `obiwan-blobd` daemon per storage device, fronted by the
+    // `obiwan-netd` fabric. The daemon handles keep the processes alive for the whole
     // replay and shut them down at the end.
     let mut daemons: Vec<obiwan_blobd::BlobdHandle> = Vec::new();
     let mut mw = match cfg.transport {

@@ -143,7 +143,8 @@ fn compression_report(list_len: usize) -> Result<String> {
         "compression ratio",
         format!("{:.2}", pool.ratio()),
         "",
-        pool.used_bytes(),
+        pool.used_bytes()
+            .map_err(|e| BenchError::ctx("pool used bytes", e))?,
     ))
 }
 

@@ -100,16 +100,16 @@ pub struct WireFormatPoint {
     pub cluster_size: usize,
     /// Encoded blob size — what actually crosses the radio.
     pub bytes_on_wire: usize,
-    /// Mean wall-clock time of one swap-out encode: capture of the live
+    /// Fastest wall-clock time of one swap-out encode: capture of the live
     /// cluster into the `Blob` IR plus wire serialization. Symmetric with
     /// [`WireFormatPoint::decode`] — both columns span heap boundary ↔
     /// wire bytes, in opposite directions.
     pub encode: Duration,
-    /// Mean wall-clock time of one decode on the reload path: streaming
+    /// Fastest wall-clock time of one decode on the reload path: streaming
     /// straight into detached arena objects ([`ClusterMaterializer`]), no
     /// `Blob` IR.
     pub decode: Duration,
-    /// Mean wall-clock time of one legacy decode to the `Blob` IR — kept
+    /// Fastest wall-clock time of one legacy decode to the `Blob` IR — kept
     /// in the table so the arena win stays visible.
     pub decode_ir: Duration,
 }
@@ -122,24 +122,27 @@ pub struct WireFormatPoint {
 ///
 /// Setup, capture, or codec failure.
 pub fn run_format_sweep(list_len: usize) -> Result<Vec<WireFormatPoint>> {
+    /// Calls timed per leg in each repetition.
     const ITERS: u32 = 16;
-    /// Repetitions per measurement; the fastest rep is reported. A mean
-    /// over one long run is poisoned by a single scheduler hiccup (tens of
-    /// µs against the ~5µs binary loops); the minimum of several short
-    /// reps is the standard noise-robust estimator for CPU-bound loops
-    /// and is what keeps the decode gate deterministic on shared runners.
+    /// Repetitions; each times every format's legs back to back, so a
+    /// load burst hits all of them alike.
     const REPS: u32 = 5;
-    fn time_min(mut body: impl FnMut() -> Result<()>) -> Result<Duration> {
+    /// The fastest single call. A mean is poisoned by one scheduler
+    /// hiccup (tens of µs against a ~5 µs binary decode), and so is the
+    /// fastest *loop* of calls when the host is loaded: a loop as long
+    /// as an XML leg's (16 × ~0.6 ms in a debug build) is preempted in
+    /// every repetition while a binary leg's slips between time slices,
+    /// which skews the gate's ratios. One call is short enough to be
+    /// measured unpreempted on some repetition of either leg.
+    fn time(mut body: impl FnMut() -> Result<()>) -> Result<Duration> {
         let mut best = Duration::MAX;
-        for _ in 0..REPS {
+        for _ in 0..ITERS {
             // lint:allow(S7, host-side codec timing; never enters a trace)
             let t = Instant::now();
-            for _ in 0..ITERS {
-                body()?;
-            }
+            body()?;
             best = best.min(t.elapsed());
         }
-        Ok(best / ITERS)
+        Ok(best)
     }
     let mut points = Vec::new();
     for cluster_size in [20usize, 100] {
@@ -164,35 +167,47 @@ pub fn run_format_sweep(list_len: usize) -> Result<Vec<WireFormatPoint>> {
         };
         let blob = codec::capture(mw.process(), 1, 0, &members)?;
         let registry = mw.process().universe().registry.clone();
+        let mut legs = Vec::new();
         for kind in WireFormatKind::ALL {
             let data = wire::encode_blob(kind, &blob)?;
-            // Swap-out CPU: IR capture from the live heap + serialization,
-            // the full heap→wire direction (the reload column below is the
-            // full wire→heap direction — see `WireFormatPoint::encode`).
-            let encode = time_min(|| {
-                let captured = codec::capture(mw.process(), 1, 0, &members)?;
-                std::hint::black_box(wire::encode_blob(kind, &captured)?);
-                Ok(())
-            })?;
-            let decode = time_min(|| {
-                let mut mat = ClusterMaterializer::new(registry.clone(), 1);
-                wire::decode_blob_into(&data, &mut mat)?;
-                std::hint::black_box(mat.into_parts());
-                Ok(())
-            })?;
-            let decode_ir = time_min(|| {
-                std::hint::black_box(wire::decode_blob(&data)?);
-                Ok(())
-            })?;
-            points.push(WireFormatPoint {
+            let point = WireFormatPoint {
                 format: kind.name().to_string(),
                 cluster_size,
                 bytes_on_wire: data.len(),
-                encode,
-                decode,
-                decode_ir,
-            });
+                encode: Duration::MAX,
+                decode: Duration::MAX,
+                decode_ir: Duration::MAX,
+            };
+            legs.push((kind, data, point));
         }
+        for _ in 0..REPS {
+            for (kind, data, point) in &mut legs {
+                let kind = *kind;
+                // Swap-out CPU: IR capture from the live heap +
+                // serialization, the full heap→wire direction (the reload
+                // column is the full wire→heap direction — see
+                // `WireFormatPoint::encode`).
+                let encode = time(|| {
+                    let captured = codec::capture(mw.process(), 1, 0, &members)?;
+                    std::hint::black_box(wire::encode_blob(kind, &captured)?);
+                    Ok(())
+                })?;
+                let decode = time(|| {
+                    let mut mat = ClusterMaterializer::new(registry.clone(), 1);
+                    wire::decode_blob_into(data, &mut mat)?;
+                    std::hint::black_box(mat.into_parts());
+                    Ok(())
+                })?;
+                let decode_ir = time(|| {
+                    std::hint::black_box(wire::decode_blob(data)?);
+                    Ok(())
+                })?;
+                point.encode = point.encode.min(encode);
+                point.decode = point.decode.min(decode);
+                point.decode_ir = point.decode_ir.min(decode_ir);
+            }
+        }
+        points.extend(legs.into_iter().map(|(_, _, point)| point));
     }
     Ok(points)
 }

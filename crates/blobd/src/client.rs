@@ -11,6 +11,18 @@
 //! "move on to the next holder" — while a corrupt frame surfaces as the
 //! hard [`NetError::Protocol`], because failover must not paper over
 //! corruption.
+//!
+//! Free space costs no frame of its own. The daemon's `store` and `drop`
+//! replies carry the same `(used, quota, count)` payload as `stat`, and a
+//! quota refusal carries the used bytes too, so the client keeps the
+//! daemon's used bytes from its last such reply and answers
+//! [`BlobStore::used_bytes`] from that figure. It forgets the figure when
+//! an exchange fails, and sends one `stat` only when it has none: before
+//! the first reply that carries one, after a failure, and — against a
+//! daemon too old to put the payload on its replies — after every store
+//! and drop. The figure is the daemon's own number, never client-side
+//! arithmetic; what another client does to the same daemon shows at this
+//! client's next reply from it.
 
 use crate::frame::{
     decode_response, decode_stat, encode_request, read_frame, write_frame, FrameError, Request,
@@ -19,6 +31,7 @@ use crate::frame::{
 use obiwan_net::{BlobStore, Bytes, DeviceId, NetError};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -28,11 +41,18 @@ const OP_TIMEOUT: Duration = Duration::from_secs(2);
 /// Connection attempts per call before declaring the daemon departed.
 const MAX_ATTEMPTS: u32 = 3;
 
+/// [`RemoteStore::used`] when no figure is known.
+const UNKNOWN: u64 = u64::MAX;
+
 /// A blob store client speaking the framed protocol to one daemon.
 pub struct RemoteStore {
     device: DeviceId,
     addr: SocketAddr,
     conn: Mutex<Option<TcpStream>>,
+    /// The daemon's used bytes as of its last reply that carried them,
+    /// or [`UNKNOWN`]. Read and written `Relaxed`: the figure publishes
+    /// no other data.
+    used: AtomicU64,
 }
 
 /// What one wire call produced, plus whether the connection had to be
@@ -52,6 +72,7 @@ impl RemoteStore {
             device,
             addr,
             conn: Mutex::new(None),
+            used: AtomicU64::new(UNKNOWN),
         }
     }
 
@@ -93,13 +114,48 @@ impl RemoteStore {
         *self.conn.lock().unwrap_or_else(|p| p.into_inner()) = Some(stream);
     }
 
+    /// One request/response exchange, keeping the used-bytes figure in
+    /// step with what the reply says: an `Ok` to a `store`, `drop` or
+    /// `stat` carries the figure (none from an old daemon), a quota
+    /// refusal carries it, and a failed exchange or a daemon shutting
+    /// down leaves none.
+    fn call(&self, req: &Request) -> Result<CallOutcome, NetError> {
+        let out = self.exchange(req);
+        match out.as_ref().map(|o| &o.response) {
+            Ok(Response::Ok { payload })
+                if matches!(
+                    req,
+                    Request::Store { .. } | Request::Drop { .. } | Request::Stat
+                ) =>
+            {
+                if payload.is_empty() {
+                    self.forget_used();
+                } else {
+                    let (used, _, _) = decode_stat(payload).map_err(|e| {
+                        self.forget_used();
+                        self.protocol(&e)
+                    })?;
+                    self.used.store(used, Ordering::Relaxed);
+                }
+            }
+            Ok(Response::QuotaExceeded { used, .. }) => self.used.store(*used, Ordering::Relaxed),
+            Ok(Response::ShuttingDown) | Err(_) => self.forget_used(),
+            Ok(_) => {}
+        }
+        out
+    }
+
+    fn forget_used(&self) {
+        self.used.store(UNKNOWN, Ordering::Relaxed);
+    }
+
     /// One request/response exchange with bounded reconnect-and-retry.
     ///
     /// The `conn` mutex is held only to take the cached stream out and to
     /// stow it back: every dial and wire exchange runs lock-free, so a
     /// slow or dead daemon stalls only the calling thread, never other
     /// threads parked on the client's lock.
-    fn call(&self, req: &Request) -> Result<CallOutcome, NetError> {
+    fn exchange(&self, req: &Request) -> Result<CallOutcome, NetError> {
         let body = encode_request(req);
         let mut cached = self.take_conn();
         let mut reconnected = false;
@@ -136,8 +192,10 @@ impl RemoteStore {
                 }
                 Err(_io_or_truncation) => {
                     // Dead socket, timeout or mid-frame stall: reconnect
-                    // and retry with the next attempt.
+                    // and retry with the next attempt. The daemon may
+                    // have restarted meanwhile, so its old figure goes.
                     cached = None;
+                    self.forget_used();
                 }
             }
         }
@@ -206,6 +264,23 @@ impl RemoteStore {
         }
     }
 
+    /// The blob under `key`, as [`BlobStore::fetch`] but through a shared
+    /// reference: a fetch changes nothing on this side of the wire.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlobStore::fetch`], plus those of a daemon that does not
+    /// answer.
+    pub fn fetch_blob(&self, key: &str) -> Result<Bytes, NetError> {
+        let out = self.call(&Request::Fetch {
+            key: key.to_owned(),
+        })?;
+        match out.response {
+            Response::Ok { payload } => Ok(payload),
+            other => Err(self.response_error(other, "fetch", key)),
+        }
+    }
+
     /// Ask the daemon to shut down gracefully.
     ///
     /// # Errors
@@ -235,13 +310,7 @@ impl BlobStore for RemoteStore {
     }
 
     fn fetch(&mut self, key: &str) -> obiwan_net::Result<Bytes> {
-        let out = self.call(&Request::Fetch {
-            key: key.to_owned(),
-        })?;
-        match out.response {
-            Response::Ok { payload } => Ok(payload),
-            other => Err(self.response_error(other, "fetch", key)),
-        }
+        self.fetch_blob(key)
     }
 
     fn drop_blob(&mut self, key: &str) -> obiwan_net::Result<()> {
@@ -265,8 +334,13 @@ impl BlobStore for RemoteStore {
         .is_ok_and(|out| matches!(out.response, Response::Ok { .. }))
     }
 
-    fn used_bytes(&self) -> usize {
-        self.stat().map(|(used, _, _)| used as usize).unwrap_or(0)
+    /// The figure from the daemon's last reply that carried one, else
+    /// one `stat`; [`NetError::Departed`] when neither answers.
+    fn used_bytes(&self) -> obiwan_net::Result<usize> {
+        match self.used.load(Ordering::Relaxed) {
+            UNKNOWN => self.stat().map(|(used, _, _)| used as usize),
+            used => Ok(used as usize),
+        }
     }
 
     fn blob_count(&self) -> usize {

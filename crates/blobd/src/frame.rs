@@ -134,8 +134,10 @@ pub enum Request {
 pub enum Response {
     /// Success; the payload depends on the request op.
     Ok {
-        /// `Fetch` → the blob; `PeekHeader` → its prefix; `Stat` →
-        /// three LE u64 counters; otherwise empty.
+        /// `Fetch` → the blob; `PeekHeader` → its prefix; `Stat`,
+        /// `Store` and `Drop` → the store's used/quota/count after the op
+        /// as three LE u64 counters (a daemon older than the `Store` and
+        /// `Drop` payload sends those two empty); `Shutdown` → empty.
         payload: Bytes,
     },
     /// The key is not stored here.

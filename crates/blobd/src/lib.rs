@@ -16,9 +16,9 @@
 //!
 //! | op | name | payload → | reply payload |
 //! |----|------|-----------|---------------|
-//! | 1 | `store` | blob bytes | empty |
+//! | 1 | `store` | blob bytes | used, quota, count after the store (3 × u64 LE) |
 //! | 2 | `fetch` | — | blob bytes |
-//! | 3 | `drop` | — | empty |
+//! | 3 | `drop` | — | used, quota, count after the drop (3 × u64 LE) |
 //! | 4 | `peek_header` | — | first ≤ 64 B of the blob |
 //! | 5 | `stat` | — | used, quota, count (3 × u64 LE) |
 //! | 6 | `shutdown` | — | empty |
@@ -40,7 +40,12 @@
 //! protocol with per-op timeouts and bounded reconnect-retry, mapping a
 //! dead daemon to [`obiwan_net::NetError::Departed`] (so the core's
 //! ordered failover works unchanged) and corruption to the hard
-//! [`obiwan_net::NetError::Protocol`].
+//! [`obiwan_net::NetError::Protocol`]. Because `store` and `drop` replies
+//! carry the daemon's used bytes, the client answers
+//! [`obiwan_net::BlobStore::used_bytes`] from its last reply and asks
+//! `stat` only when it has no figure; a daemon that answers neither is
+//! `Departed`, never empty. Only `Ok` replies carry the counters, and a
+//! daemon older than them sends `store` and `drop` replies empty.
 //!
 //! Real time enters only through [`obiwan_net::clock::real`] — the
 //! workspace's single sanctioned wall-clock seam (lint S7).

@@ -163,8 +163,8 @@ impl Blobd {
     }
 
     /// Bind on a loopback ephemeral port and serve on a background
-    /// thread — the in-process deployment the loopback tests and the
-    /// actor runtime's scripted worlds use.
+    /// thread — the in-process deployment the loopback tests, the live
+    /// fabric's tests and the benchmark use.
     ///
     /// # Errors
     ///
@@ -243,22 +243,24 @@ fn serve_conn(stream: TcpStream, shared: &Shared) {
 /// Apply one decoded request to the store.
 fn apply(shared: &Shared, req: Request) -> Response {
     match req {
-        Request::Store { key, data } => match shared.lock_store().store(&key, data) {
-            Ok(()) => Response::Ok {
-                payload: Bytes::new(),
-            },
-            Err(e) => error_response(e),
-        },
+        Request::Store { key, data } => {
+            let mut store = shared.lock_store();
+            match store.store(&key, data) {
+                Ok(()) => stat_reply(&store),
+                Err(e) => error_response(e),
+            }
+        }
         Request::Fetch { key } => match shared.lock_store().fetch(&key) {
             Ok(data) => Response::Ok { payload: data },
             Err(e) => error_response(e),
         },
-        Request::Drop { key } => match shared.lock_store().drop_blob(&key) {
-            Ok(()) => Response::Ok {
-                payload: Bytes::new(),
-            },
-            Err(e) => error_response(e),
-        },
+        Request::Drop { key } => {
+            let mut store = shared.lock_store();
+            match store.drop_blob(&key) {
+                Ok(()) => stat_reply(&store),
+                Err(e) => error_response(e),
+            }
+        }
         Request::PeekHeader { key } => match shared.lock_store().peek(&key) {
             Some(data) => {
                 let head = data.get(..PEEK_LEN.min(data.len())).unwrap_or_default();
@@ -268,23 +270,27 @@ fn apply(shared: &Shared, req: Request) -> Response {
             }
             None => Response::UnknownBlob,
         },
-        Request::Stat => {
-            let store = shared.lock_store();
-            let payload = encode_stat(
-                store.used_bytes() as u64,
-                store.quota() as u64,
-                store.blob_count() as u64,
-            );
-            Response::Ok {
-                payload: Bytes::from(payload),
-            }
-        }
+        Request::Stat => stat_reply(&shared.lock_store()),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
             Response::Ok {
                 payload: Bytes::new(),
             }
         }
+    }
+}
+
+/// An `Ok` carrying the store's `(used, quota, count)`: the `stat` reply,
+/// and the reply to every applied `store` and `drop`, so a client learns
+/// the daemon's free space without asking for it.
+fn stat_reply(store: &MemStore) -> Response {
+    let payload = encode_stat(
+        store.used() as u64,
+        store.quota() as u64,
+        store.blob_count() as u64,
+    );
+    Response::Ok {
+        payload: Bytes::from(payload),
     }
 }
 
@@ -338,6 +344,32 @@ mod tests {
             .store("key-much-longer-than-quota", Bytes::from_static(b"xxxx"))
             .unwrap_err();
         assert!(matches!(err, NetError::QuotaExceeded { quota: 8, .. }));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn store_and_drop_replies_carry_the_stat_payload() {
+        let handle = Blobd::spawn_local(1 << 10).unwrap();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        let mut ask = |req: Request| {
+            write_frame(&mut conn, &crate::frame::encode_request(&req)).unwrap();
+            crate::frame::decode_response(&read_frame(&mut conn).unwrap()).unwrap()
+        };
+        let stat = |used: u64, count: u64| Response::Ok {
+            payload: Bytes::from(encode_stat(used, 1 << 10, count)),
+        };
+        let data = Bytes::from_static(b"blob");
+        let store = |key: &str| Request::Store {
+            key: key.into(),
+            data: data.clone(),
+        };
+        // Key bytes plus payload bytes, as `MemStore` charges them.
+        assert_eq!(ask(store("k1")), stat(6, 1));
+        assert_eq!(ask(store("k2")), stat(12, 2));
+        assert_eq!(ask(Request::Drop { key: "k1".into() }), stat(6, 1));
+        assert_eq!(ask(Request::Stat), stat(6, 1));
+        // A refused verb changes nothing and carries no figure.
+        assert_eq!(ask(store("k2")), Response::Duplicate);
         handle.shutdown();
     }
 }

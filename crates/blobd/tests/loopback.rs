@@ -1,5 +1,5 @@
 //! End-to-end over real TCP: the full middleware stack swapping clusters
-//! out to live `obiwan-blobd` daemons through the actor-runtime transport,
+//! out to live `obiwan-blobd` daemons through the `obiwan-netd` fabric,
 //! killing a daemon, and reloading via the ordered failover — the same
 //! scenario the simulation's durability tests pin, now with actual sockets
 //! and processes underneath.
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 const QUOTA: usize = 1 << 20;
 
 /// A PDA over a 40-node list in a live world: two `obiwan-blobd` daemons
-/// on loopback ports, fronted by the actor runtime, k = 2 fan-out.
+/// on loopback ports, fronted by the `obiwan-netd` fabric, k = 2 fan-out.
 fn tcp_world() -> (
     Middleware,
     obiwan_heap::ObjRef,
@@ -233,7 +233,7 @@ fn child_process_daemon_round_trips_blobs() {
     assert!(store.contains("dev0-sc1-e0"));
     assert_eq!(store.fetch("dev0-sc1-e0").expect("fetch"), payload);
     store.drop_blob("dev0-sc1-e0").expect("drop");
-    assert_eq!(store.used_bytes(), 0);
+    assert_eq!(store.used_bytes(), Ok(0));
 
     store.shutdown_daemon().expect("graceful shutdown");
     let status = child.wait().expect("child exits");

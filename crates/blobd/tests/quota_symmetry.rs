@@ -15,7 +15,7 @@ use obiwan_net::{BlobStore, Bytes, DeviceId, MemStore, NetError};
 /// charge grows monotonically, then drop everything and require the
 /// accounting lands back at exactly zero — not merely "small".
 fn assert_store_then_drop_returns_to_zero(store: &mut dyn BlobStore) {
-    assert_eq!(store.used_bytes(), 0, "fresh store starts empty");
+    assert_eq!(store.used_bytes(), Ok(0), "fresh store starts empty");
     let blobs: &[(&str, &[u8])] = &[
         (
             "dev0-sc1-e0",
@@ -36,7 +36,11 @@ fn assert_store_then_drop_returns_to_zero(store: &mut dyn BlobStore) {
         // Key bytes are charged too: many tiny blobs cannot sneak past
         // the quota for free.
         expected += key.len() + data.len();
-        assert_eq!(store.used_bytes(), expected, "charge after storing {key}");
+        assert_eq!(
+            store.used_bytes(),
+            Ok(expected),
+            "charge after storing {key}"
+        );
     }
     assert_eq!(store.blob_count(), blobs.len());
     for (key, _) in blobs {
@@ -44,7 +48,7 @@ fn assert_store_then_drop_returns_to_zero(store: &mut dyn BlobStore) {
     }
     assert_eq!(
         store.used_bytes(),
-        0,
+        Ok(0),
         "store-then-drop must refund every charged byte"
     );
     assert_eq!(store.blob_count(), 0);
@@ -53,7 +57,7 @@ fn assert_store_then_drop_returns_to_zero(store: &mut dyn BlobStore) {
         store.drop_blob("dev0-sc1-e0"),
         Err(NetError::UnknownBlob { .. })
     ));
-    assert_eq!(store.used_bytes(), 0);
+    assert_eq!(store.used_bytes(), Ok(0));
 }
 
 #[test]

@@ -2,9 +2,12 @@
 //! transitively calling back into a verb that enqueues to a device
 //! actor's mailbox and blocks for the reply.
 //!
-//! netd's actors are single-threaded mailbox loops: `Actor::call` puts
+//! A device actor is a single-threaded mailbox loop: `Actor::call` puts
 //! an envelope on the channel and waits up to the actor timeout for the
-//! reply. If the actor's own thread — anything reachable from the
+//! reply. (netd's live fabric no longer runs actors — its verbs call each
+//! store on the caller's thread — so the rule finds nothing in the
+//! workspace today; the `s14` fixture keeps it honest for a data plane
+//! that brings mailboxes back.) If the actor's own thread — anything reachable from the
 //! closure passed to `spawn` — re-enters a `Transport` verb that calls
 //! `Actor::call`, the enqueue can target the very mailbox the thread is
 //! supposed to be draining: the reply never comes and the call burns the

@@ -134,8 +134,8 @@ impl Clock {
 /// its construction.
 ///
 /// This is the **only** sanctioned wall-clock seam in the workspace (lint
-/// S7 exempts exactly this file): live transport backends — the actor
-/// runtime, the `obiwan-blobd` daemon — stamp their events through a
+/// S7 exempts exactly this file): live transport backends — the
+/// `obiwan-netd` fabric, the `obiwan-blobd` daemon — stamp their events through a
 /// `RealClock` obtained from [`real`], never through `Instant::now()`
 /// directly. Keeping the seam here means the rest of the system stays
 /// indifferent to whether time is simulated or real.

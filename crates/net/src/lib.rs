@@ -12,7 +12,7 @@
 //! * per-device blob stores implementing the three-verb protocol
 //!   (store / fetch / drop) with quota enforcement;
 //! * one control plane, the [`Room`], that the simulation and the live
-//!   actor runtime share: device and link tables, routing, error
+//!   fabric share: device and link tables, routing, error
 //!   precedence and injected failures ([`FailurePlan`]);
 //! * churn: devices can [`Transport::depart`] (taking their blobs with
 //!   them) and re-[`Transport::arrive`], which is how the tests exercise

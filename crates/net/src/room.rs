@@ -4,7 +4,7 @@
 //! A storage device only stores, returns or drops keyed bytes; knowing
 //! the neighbourhood is the middleware's job. [`Room`] does that job once,
 //! for the simulation ([`crate::SimNet`] is a `Room<MemStore>`) and for
-//! the live actor runtime alike. Each fabric adds only its data plane —
+//! the live fabric alike. Each fabric adds only its data plane —
 //! what a store, fetch or drop does to the per-device handle `H`.
 
 use crate::{DeviceId, DeviceProfile, FailurePlan, LinkSpec, NetError, Result};
@@ -24,8 +24,8 @@ struct Slot<H> {
 /// One device table and one link table, shared by every fabric.
 ///
 /// Devices carry a profile, a presence flag, a [`FailurePlan`] with its
-/// operation counter, and a fabric-specific handle `H` (a blob store, an
-/// actor mailbox). Links are keyed by the ordered device pair. Every
+/// operation counter, and a fabric-specific handle `H` (a blob store, or
+/// a live device's store plus its key mirror). Links are keyed by the ordered device pair. Every
 /// query here is a field read; nothing talks to a store.
 #[derive(Debug)]
 pub struct Room<H> {

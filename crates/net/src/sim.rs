@@ -139,7 +139,7 @@ impl Transport for SimNet {
 
     fn free_storage(&self, device: DeviceId) -> Result<usize> {
         let quota = self.room.profile(device)?.storage_quota;
-        Ok(quota.saturating_sub(self.room.handle(device)?.used_bytes()))
+        Ok(quota.saturating_sub(self.room.handle(device)?.used()))
     }
 
     /// Take a device out of radio range. Its blobs stay on it (and come back
@@ -312,7 +312,7 @@ impl Transport for SimNet {
     }
 
     fn stored_bytes(&self, device: DeviceId) -> Result<usize> {
-        Ok(self.room.handle(device)?.used_bytes())
+        Ok(self.room.handle(device)?.used())
     }
 
     fn device_ids(&self) -> Vec<DeviceId> {

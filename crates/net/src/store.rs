@@ -46,7 +46,13 @@ pub trait BlobStore {
     fn contains(&self, key: &str) -> bool;
 
     /// Bytes currently stored (keys + payloads).
-    fn used_bytes(&self) -> usize;
+    ///
+    /// # Errors
+    ///
+    /// A store that cannot tell — a remote one whose daemon does not
+    /// answer — returns [`NetError::Departed`] rather than reading as
+    /// empty; a local store always answers.
+    fn used_bytes(&self) -> Result<usize>;
 
     /// Number of blobs currently stored.
     fn blob_count(&self) -> usize;
@@ -161,6 +167,12 @@ impl MemStore {
         self.quota
     }
 
+    /// Bytes currently charged against the quota (keys + payloads); the
+    /// infallible local read behind [`BlobStore::used_bytes`].
+    pub fn used(&self) -> usize {
+        self.used
+    }
+
     /// Keys currently stored (unordered).
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.blobs.keys().map(String::as_str)
@@ -222,8 +234,8 @@ impl BlobStore for MemStore {
         self.blobs.contains_key(key)
     }
 
-    fn used_bytes(&self) -> usize {
-        self.used
+    fn used_bytes(&self) -> Result<usize> {
+        Ok(self.used)
     }
 
     fn blob_count(&self) -> usize {
@@ -246,11 +258,11 @@ mod tests {
         s.store("k", "hello".into()).unwrap();
         assert!(s.contains("k"));
         // 1 key byte + 5 payload bytes.
-        assert_eq!(s.used_bytes(), 6);
+        assert_eq!(s.used_bytes(), Ok(6));
         assert_eq!(&s.fetch("k").unwrap()[..], b"hello");
         s.drop_blob("k").unwrap();
         assert!(!s.contains("k"));
-        assert_eq!(s.used_bytes(), 0);
+        assert_eq!(s.used_bytes(), Ok(0));
     }
 
     #[test]
@@ -270,9 +282,9 @@ mod tests {
         let err = s.store("big-key", "1234".into()).unwrap_err();
         assert!(matches!(err, NetError::QuotaExceeded { requested: 11, .. }));
         s.store("k", "1234".into()).unwrap();
-        assert_eq!(s.used_bytes(), 5);
+        assert_eq!(s.used_bytes(), Ok(5));
         s.drop_blob("k").unwrap();
-        assert_eq!(s.used_bytes(), 0);
+        assert_eq!(s.used_bytes(), Ok(0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The object-safe [`Transport`] trait is the whole call surface the
 //! swapping core uses, and [`NetFabric`] holds either the deterministic
 //! [`SimNet`] (the default, and the only world the golden traces accept)
-//! or a live backend such as the `obiwan-netd` actor runtime fronting real
+//! or a live backend such as the `obiwan-netd` fabric fronting real
 //! `obiwan-blobd` processes.
 //!
 //! Design rules:
@@ -40,7 +40,7 @@ pub enum TransportKind {
     /// The deterministic in-process simulation.
     #[default]
     Sim,
-    /// A live backend: the actor runtime shipping framed blobs to
+    /// A live backend: the `obiwan-netd` fabric shipping framed blobs to
     /// `obiwan-blobd` daemons over TCP.
     Tcp,
 }
@@ -103,7 +103,10 @@ pub trait Transport {
     /// tie goes to the path discovered first.
     fn route(&self, from: DeviceId, to: DeviceId) -> Option<Route>;
 
-    /// Remaining storage quota on a device, departed or not.
+    /// Remaining storage quota on a device, departed or not. A live
+    /// backend may answer with the store's figure as of its last reply
+    /// to this client rather than asking the store again, so space
+    /// another client took or freed shows at that client's next reply.
     ///
     /// # Errors
     ///
@@ -207,11 +210,14 @@ pub trait Transport {
     /// Raw bytes of the blob under `key` on `device`, if any.
     fn blob_data(&self, device: DeviceId, key: &str) -> Option<Bytes>;
 
-    /// Bytes of quota a device's store currently charges.
+    /// Bytes of quota a device's store currently charges — on a live
+    /// backend, as of the store's last reply (see
+    /// [`Transport::free_storage`]).
     ///
     /// # Errors
     ///
-    /// [`crate::NetError::UnknownDevice`] if `device` is not in this world.
+    /// [`crate::NetError::UnknownDevice`] if `device` is not in this world;
+    /// live backends add the errors of a store that does not answer.
     fn stored_bytes(&self, device: DeviceId) -> Result<usize>;
 
     /// Every device id in this world, ascending.

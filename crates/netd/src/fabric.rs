@@ -1,45 +1,85 @@
-//! [`ActorNet`]: a live world of device actors implementing
+//! [`ActorNet`]: a live world of devices implementing
 //! [`obiwan_net::Transport`].
 //!
 //! The control plane — profiles, links, presence, routing, failure plans,
 //! traffic and churn — is the shared [`Room`], the same one the
 //! simulation runs on, serialized by the `Arc<Mutex<NetFabric>>` the core
-//! already locks. The *data plane* — every blob byte — flows through
-//! per-device actor inboxes, each actor owning its store (local memory or
-//! a remote `obiwan-blobd` process).
+//! already locks. The *data plane* — every blob byte — is each device's
+//! own store (local memory or a remote `obiwan-blobd` process), called on
+//! the caller's thread: every verb blocks for its reply under that lock
+//! anyway, so a thread per device would add two hand-offs per call and
+//! no concurrency.
 //!
 //! What is *not* preserved: determinism. The clock is the sanctioned
-//! [`obiwan_net::clock::real`] seam, replies race real threads and real
-//! sockets, and traces are not replayable — which is exactly why
-//! `TransportKind::Sim` remains the default everywhere.
+//! [`obiwan_net::clock::real`] seam, replies race real sockets, and
+//! traces are not replayable — which is exactly why `TransportKind::Sim`
+//! remains the default everywhere.
 
-use crate::actor::{Actor, Op, Reply};
 use obiwan_blobd::RemoteStore;
 use obiwan_net::clock::RealClock;
 use obiwan_net::{
-    Bytes, DeviceId, DeviceKind, DeviceProfile, FailurePlan, LinkSpec, MemStore, NetError, Result,
+    BlobStore, Bytes, DeviceId, DeviceKind, DeviceProfile, FailurePlan, LinkSpec, MemStore, Result,
     Room, Route, SimDuration, SimTime, Transport,
 };
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
-use std::time::Duration;
 
-/// How long a blob verb waits for an actor's reply before declaring the
-/// device departed. Local actors answer in microseconds; remote ones are
-/// bounded by the blobd client's own connect/read timeouts and retry
-/// budget, which this comfortably exceeds.
-const ACTOR_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// A live transport world: one actor per device, mailbox-ordered delivery.
-pub struct ActorNet {
-    room: Room<Actor>,
-    clock: RealClock,
+/// Where a device's blobs live.
+enum Store {
+    /// In this process.
+    Mem(MemStore),
+    /// In an `obiwan-blobd` daemon.
+    Remote(RemoteStore),
 }
 
-fn mismatch(device: DeviceId, op: &str) -> NetError {
-    NetError::Protocol {
-        device,
-        detail: format!("actor returned a mismatched reply for {op}"),
+impl Store {
+    fn get(&self) -> &dyn BlobStore {
+        match self {
+            Store::Mem(s) => s,
+            Store::Remote(s) => s,
+        }
     }
+
+    fn get_mut(&mut self) -> &mut dyn BlobStore {
+        match self {
+            Store::Mem(s) => s,
+            Store::Remote(s) => s,
+        }
+    }
+
+    /// The blob under `key`, read without the transfer verbs' semantics.
+    fn peek(&self, key: &str) -> Option<Bytes> {
+        match self {
+            Store::Mem(s) => s.peek(key),
+            Store::Remote(s) => s.fetch_blob(key).ok(),
+        }
+    }
+}
+
+/// One device's data plane: its store, plus the keys it holds.
+struct Device {
+    store: Store,
+    /// `BlobStore` cannot enumerate keys, so the device mirrors them,
+    /// updated only by verbs the store accepted: exact for a local store,
+    /// and for a remote one as long as no other client drops from its
+    /// daemon.
+    keys: BTreeSet<String>,
+}
+
+impl Device {
+    fn new(store: Store) -> Device {
+        Device {
+            store,
+            keys: BTreeSet::new(),
+        }
+    }
+}
+
+/// A live transport world: each device's store answers on the caller's
+/// thread, one verb after another.
+pub struct ActorNet {
+    room: Room<Device>,
+    clock: RealClock,
 }
 
 impl ActorNet {
@@ -52,7 +92,7 @@ impl ActorNet {
     }
 
     /// Add a device whose blobs live in local memory (a [`MemStore`] with
-    /// `quota`), hosted by its own actor thread.
+    /// `quota`).
     pub fn add_device(
         &mut self,
         name: impl Into<String>,
@@ -60,7 +100,7 @@ impl ActorNet {
         quota: usize,
     ) -> DeviceId {
         self.room.add(DeviceProfile::new(name, kind, quota), |id| {
-            Actor::spawn(Box::new(MemStore::new(id, quota)))
+            Device::new(Store::Mem(MemStore::new(id, quota)))
         })
     }
 
@@ -76,44 +116,38 @@ impl ActorNet {
         addr: SocketAddr,
     ) -> DeviceId {
         self.room.add(DeviceProfile::new(name, kind, quota), |id| {
-            Actor::spawn(Box::new(RemoteStore::connect(id, addr)))
+            Device::new(Store::Remote(RemoteStore::connect(id, addr)))
         })
     }
 
-    fn call(&self, device: DeviceId, op: Op) -> Result<Reply> {
-        self.room.handle(device)?.call(device, op, ACTOR_TIMEOUT)
-    }
-
-    /// Ship a store to `to`'s actor. Airtime is charged first, as the
-    /// simulation charges it: spent whether or not the store accepts.
+    /// Store a blob on `to`. Airtime is charged first, as the simulation
+    /// charges it: spent whether or not the store accepts.
     fn store(&mut self, to: DeviceId, key: &str, data: Bytes) -> Result<()> {
         self.room.charge_sent(data.len());
         self.room.check_plan(to, "store")?;
-        let key = key.to_owned();
-        self.call(to, Op::Store { key, data }).map(drop)
+        let device = self.room.handle_mut(to)?;
+        device.store.get_mut().store(key, data)?;
+        device.keys.insert(key.to_owned());
+        Ok(())
     }
 
     fn fetch(&mut self, to: DeviceId, key: &str) -> Result<Bytes> {
         self.room.check_plan(to, "fetch")?;
-        let key = key.to_owned();
-        let Reply::Blob(data) = self.call(to, Op::Fetch { key })? else {
-            return Err(mismatch(to, "Fetch"));
-        };
+        let data = self.room.handle_mut(to)?.store.get_mut().fetch(key)?;
         self.room.charge_fetched(data.len());
         Ok(data)
     }
 
     fn drop_key(&mut self, to: DeviceId, key: &str) -> Result<()> {
         self.room.check_plan(to, "drop")?;
-        let key = key.to_owned();
-        self.call(to, Op::Drop { key }).map(drop)
+        let device = self.room.handle_mut(to)?;
+        device.store.get_mut().drop_blob(key)?;
+        device.keys.remove(key);
+        Ok(())
     }
 
     fn used(&self, device: DeviceId) -> Result<usize> {
-        match self.call(device, Op::Used)? {
-            Reply::Size(used) => Ok(used),
-            _ => Err(mismatch(device, "Used")),
-        }
+        self.room.handle(device)?.store.get().used_bytes()
     }
 }
 
@@ -250,31 +284,28 @@ impl Transport for ActorNet {
     }
 
     fn holds_blob(&self, to: DeviceId, key: &str) -> bool {
-        let key = key.to_owned();
-        matches!(self.call(to, Op::Contains { key }), Ok(Reply::Flag(true)))
+        self.room
+            .handle(to)
+            .is_ok_and(|device| device.store.get().contains(key))
     }
 
     fn holders_of_key(&self, key: &str) -> Vec<DeviceId> {
         self.room
             .present()
+            .filter(|(_, device)| device.store.get().contains(key))
             .map(|(id, _)| id)
-            .filter(|&d| self.holds_blob(d, key))
             .collect()
     }
 
     fn blob_keys(&self, device: DeviceId) -> Vec<String> {
-        match self.call(device, Op::Keys) {
-            Ok(Reply::Keys(keys)) => keys,
-            _ => Vec::new(),
-        }
+        self.room
+            .handle(device)
+            .map(|device| device.keys.iter().cloned().collect())
+            .unwrap_or_default()
     }
 
     fn blob_data(&self, device: DeviceId, key: &str) -> Option<Bytes> {
-        let key = key.to_owned();
-        match self.call(device, Op::Data { key }) {
-            Ok(Reply::MaybeBlob(data)) => data,
-            _ => None,
-        }
+        self.room.handle(device).ok()?.store.peek(key)
     }
 
     fn stored_bytes(&self, device: DeviceId) -> Result<usize> {

@@ -1,13 +1,16 @@
 //! `obiwan-netd`: the live transport runtime behind `TransportKind::Tcp`.
 //!
 //! Where `obiwan-net`'s `SimNet` *models* a room full of devices under a
-//! scripted clock, this crate *runs* one: each device is an actor — a
-//! thread draining a FIFO inbox, owning its blob store exclusively — and
-//! [`ActorNet`] is the world that routes the middleware's transport verbs
-//! into those inboxes. Stores are either in-memory ([`obiwan_net::MemStore`],
+//! scripted clock, this crate *runs* one: [`ActorNet`] routes the
+//! middleware's transport verbs to each device's own blob store, on the
+//! caller's thread. Stores are either in-memory ([`obiwan_net::MemStore`],
 //! for devices hosted inside this process) or remote
 //! ([`obiwan_blobd::RemoteStore`], fronting an `obiwan-blobd` daemon over
-//! TCP), and the actor neither knows nor cares which.
+//! TCP). A live blob verb is one call into the store — for a remote
+//! device, one socket round trip — and `free_storage` reads the used
+//! bytes the daemon put on its last reply, so it sends no frame of its
+//! own. (The name `ActorNet` dates from when each device was an actor
+//! thread with a mailbox.)
 //!
 //! [`ActorNet`] keeps its devices and links on the same
 //! [`obiwan_net::Room`] that `SimNet` runs on, so presence, routing, the
@@ -19,11 +22,10 @@
 //! exactly as in the simulation.
 //!
 //! What the live fabric gives up is determinism. The clock is the sanctioned
-//! [`obiwan_net::clock::real`] seam, and replies race real threads and —
-//! for remote devices — real sockets. That is why `TransportKind::Sim`
-//! stays the default and golden traces are only ever cut there.
+//! [`obiwan_net::clock::real`] seam, and replies from remote devices race
+//! real sockets and daemon threads. That is why `TransportKind::Sim` stays
+//! the default and golden traces are only ever cut there.
 
-mod actor;
 mod fabric;
 
 pub use fabric::ActorNet;
@@ -47,10 +49,10 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_orders_store_then_fetch_then_drop() {
+    fn store_then_fetch_then_drop_apply_in_order() {
         let (mut net, a, b) = two_device_world();
-        // Same device, strict send order: a later fetch must observe the
-        // earlier store, and a drop after that must leave nothing behind.
+        // Same device, call order: a later fetch must observe the earlier
+        // store, and a drop after that must leave nothing behind.
         net.send_blob(a, b, "k1", Bytes::copy_from_slice(b"payload"))
             .unwrap();
         let got = net.fetch_blob(a, b, "k1").unwrap();

@@ -1,7 +1,7 @@
 //! One verb script, two fabrics.
 //!
 //! Each test runs the same script against the deterministic `SimNet` and
-//! the live `ActorNet` (in-process `MemStore` actors) and compares every
+//! the live `ActorNet` (in-process `MemStore` devices) and compares every
 //! result except the clock: `now`/`advance` are virtual on one fabric and
 //! wall time on the other. After every step the whole observable state is
 //! logged (topology, presence, routes, quota, keys, holders, traffic), so
