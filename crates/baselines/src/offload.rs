@@ -263,7 +263,7 @@ impl Offloader {
         );
         self.stats.offloads += 1;
         self.stats.bytes_out += bytes as u64;
-        p.collect(Collection::Full);
+        p.collect(Collection::Full, |_, _| {});
         Ok(bytes)
     }
 
@@ -593,7 +593,7 @@ mod tests {
         // Sever the chain before the offloaded tail: surrogates die.
         let cut = handles[2];
         p.set_field_value(cut, "next", Value::Null).unwrap();
-        p.collect(Collection::Full);
+        p.collect(Collection::Full, |_, _| {});
         let messages = off.run_dgc_epoch(&mut p).unwrap();
         // 3 liveness reports; at least the directly-referenced surrogate is
         // unreachable now and costs a reclamation message.

@@ -191,7 +191,7 @@ fn gc_cooperation_report() -> Result<String> {
         "Ablation 5 — GC cooperation (paper §3)\n\n\
          blob bytes on the neighbour before severing: {stored_before}\n\
          blob bytes after the cluster became unreachable + 2 collections: {stored_after}\n\
-         blobs dropped by finalizer-driven instruction: {}\n\n\
+         blobs dropped on the replacement-object's death: {}\n\n\
          (no DGC spans the storing devices: one local decision, one drop\n\
           message — versus one liveness message per object per epoch in the\n\
           per-object offload baseline)\n",

@@ -139,12 +139,12 @@ fn offload_row(n: usize, epochs: usize) -> Result<DgcRow> {
         .ok_or_else(|| BenchError::msg("cut node missing after fetch-back"))?;
     p.set_field_value(cut_handle, "next", Value::Null)?;
     off.offload(&mut p, cut_handle)?;
-    p.collect(Collection::Full);
+    p.collect(Collection::Full, |_, _| {});
     // DGC epochs: one liveness message per remote object, plus
     // reclamations.
     for _ in 0..epochs {
         off.run_dgc_epoch(&mut p)?;
-        p.collect(Collection::Full);
+        p.collect(Collection::Full, |_, _| {});
     }
     let stats = off.stats();
     Ok(DgcRow {

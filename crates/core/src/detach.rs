@@ -144,8 +144,8 @@ impl SwappingManager {
     /// 4. detach the members and, once the commit has returned (no guard
     ///    held), free them at once ([`obiwan_heap::Heap::free_detached`]):
     ///    the commit patched every inbound proxy, so only a root can still
-    ///    hold them. When a root does, one collection with its finalizers
-    ///    keeps what that root reaches and frees the rest.
+    ///    hold them. When a root does, one reclaim keeps what that root
+    ///    reaches, frees the rest and acts on the deaths it reports.
     ///
     /// Returns the number of payload bytes shipped.
     ///
@@ -416,9 +416,9 @@ impl SwappingManager {
         for (i, op) in outbound.into_iter().enumerate() {
             obj.set_raw_field(layout + i, Value::Ref(op));
         }
-        let h = obj.header_mut();
-        h.swap_cluster = sc;
-        h.finalize = true; // death ⇒ instruct device to drop the blob
+        // Its death, reported by the sweep's hook, instructs the holders to
+        // drop the blob.
+        obj.header_mut().swap_cluster = sc;
         let replacement = p.heap_mut().adopt(obj)?;
 
         // Patch inbound proxies: "every swap-cluster referencing objects

@@ -238,8 +238,8 @@ impl MiddlewareBuilder {
     /// Assemble the middleware around an already-shared server — the
     /// multi-device case: several PDAs replicating from the same master
     /// graph, each with its own room of storage devices. The room is
-    /// simulated; live worlds (actor runtime + `obiwan-blobd` daemons) are
-    /// assembled externally and handed to
+    /// simulated; live worlds (`obiwan-blobd` daemons behind an
+    /// `obiwan-netd` fabric) are assembled externally and handed to
     /// [`MiddlewareBuilder::build_in_world`].
     ///
     /// # Panics
@@ -448,6 +448,12 @@ impl Middleware {
     /// one full collection before it gives up, so garbage that outlived a
     /// collection never causes a spurious out-of-memory failure.
     ///
+    /// A recovery consumes the failure it recovered from: the policies
+    /// never see an `allocation-failed` event for it, so they do not evict
+    /// and collect a second time after the retry. The failure of a plain
+    /// [`Middleware::invoke`], of the last allowed attempt or of a recovery
+    /// that gives up still reaches them at the next pump.
+    ///
     /// Note that a single operation whose working set exceeds device memory
     /// (e.g. a recursion that keeps every visited cluster live on the call
     /// stack) cannot be rescued by swapping — eviction happens *between*
@@ -495,6 +501,7 @@ impl Middleware {
         let mut attempt = 0;
         loop {
             let used_before = self.process.heap().bytes_used();
+            let events_before = self.process.pending_events();
             match self.invoke(target, method, args.clone()) {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_out_of_memory() && attempt < retries => {
@@ -515,6 +522,7 @@ impl Middleware {
                             return Err(e);
                         }
                     }
+                    self.process.retract_failures_since(events_before);
                 }
                 Err(e) => return Err(e),
             }
@@ -591,7 +599,7 @@ impl Middleware {
         out
     }
 
-    /// Run a full collection and process finalizers (blob drops, table
+    /// Run a full collection and act on what died (blob drops, table
     /// pruning).
     ///
     /// # Errors
@@ -758,8 +766,9 @@ impl Middleware {
             {
                 events.push(e);
             }
-            // Free space is asked of newly discovered devices only: on a
-            // live fabric each answer is a round trip to the store.
+            // Free space is asked of newly discovered devices only. A live
+            // store answers from the used bytes on the daemon's last reply
+            // and pays one `stat` round trip only when it has none yet.
             let net = lock_net(&self.net)?;
             let present: Vec<i64> = net
                 .nearby(self.home)

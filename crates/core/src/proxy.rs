@@ -89,8 +89,9 @@ pub fn retarget(p: &mut Process, proxy: ObjRef, target: ObjRef, oid: Oid) -> Res
     let heap = p.heap_mut();
     heap.set_any_field(proxy, mw.sp_target.index(), Value::Ref(target))?;
     heap.set_any_field(proxy, mw.sp_oid.index(), Value::Int(oid.0 as i64))?;
-    // Keep the header identity in sync so finalizer records name the right
-    // (source, target-oid) table entry.
+    // Keep the header identity in sync: write-back
+    // (`Process::commit_replica`) reads a referenced object's identity from
+    // its header, which looks through this proxy to its target.
     heap.header_mut(proxy)?.oid = oid;
     Ok(())
 }
@@ -112,7 +113,6 @@ pub fn create(p: &mut Process, source_sc: u32, target: ObjRef, oid: Oid) -> Resu
     let h = proxy.header_mut();
     h.oid = oid;
     h.swap_cluster = source_sc;
-    h.finalize = true; // death must prune the manager's tables
     Ok(p.heap_mut().adopt(proxy)?)
 }
 
@@ -141,7 +141,7 @@ mod tests {
         assert_eq!(oid_of(&p, proxy).unwrap(), oid);
         assert_eq!(source_of(&p, proxy).unwrap(), 3);
         assert!(!assign_mark_of(&p, proxy).unwrap());
-        assert!(p.heap().get(proxy).unwrap().header().finalize);
+        assert_eq!(p.heap().get(proxy).unwrap().header().oid, oid);
     }
 
     #[test]

@@ -404,14 +404,11 @@ impl SwappingManager {
         }
 
         // The replacement-object is no longer needed: nothing in the
-        // application graph references it, so it is garbage; neutralize its
-        // finalizer so its collection does not instruct a second drop, and
-        // retire it to the nursery so the next collection, minor or full,
-        // frees it.
-        if p.heap().is_live(replacement) {
-            p.heap_mut().header_mut(replacement)?.finalize = false;
-            p.heap_mut().retire(replacement);
-        }
+        // application graph references it, so it is garbage. Retire it to
+        // the nursery so the next collection, minor or full, frees it; its
+        // death drops nothing, because it is no longer the cluster's
+        // current stand-in.
+        p.heap_mut().retire(replacement);
         // Loaded again: retire the placement and drop every copy it lists
         // now, including any a repair pass added while the bytes moved.
         if let Some((_, placement)) = shard.placements.remove(sc) {

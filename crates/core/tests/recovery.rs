@@ -60,8 +60,8 @@ fn gc_run_events(mw: &Middleware) -> usize {
 /// One hop through the `next` chain the way the middleware recovered
 /// before victims were batched: collect, evict one victim at a time until
 /// occupancy is at the low watermark, retry. The collection is a minor
-/// one, as the recovery's is, and skips the finalizers, which change no
-/// heap state that the comparison reads. The old recipe collected again
+/// one, as the recovery's is, and ignores the deaths it reports, which
+/// change no heap state that the comparison reads. The old recipe collected again
 /// after its evictions; now that each swap-out frees its members, that
 /// collection would only age the young generation a second time.
 fn step_with_per_victim_recovery(mw: &mut Middleware, low_pct: usize) -> Value {
@@ -71,7 +71,7 @@ fn step_with_per_victim_recovery(mw: &mut Middleware, low_pct: usize) -> Value {
         match mw.invoke(cur, "next", vec![]) {
             Ok(v) => break v,
             Err(e) if e.is_out_of_memory() => {
-                mw.process_mut().collect(Collection::Minor);
+                mw.process_mut().collect(Collection::Minor, |_, _| {});
                 let floor = mw.process().heap().capacity() / 100 * low_pct;
                 let mut evicted_any = false;
                 while !(evicted_any && mw.process().heap().bytes_used() <= floor) {
@@ -145,6 +145,52 @@ fn a_recovery_evicts_the_per_victim_recipes_victims_behind_one_collection() {
         per_victim.stats().heap.gc_runs,
         batched.stats().heap.gc_runs,
         "one collection per recovery on both sides"
+    );
+}
+
+/// A recovery consumes the out-of-memory it recovered from. With the
+/// builtin policies on and a high watermark the walk never reaches, the
+/// only rule that could evict or collect is `builtin-allocation-failed`:
+/// the recovered retry's pump must not hear of the failure, so the walk
+/// evicts the same victims as a world without policies and runs no full
+/// collection.
+#[test]
+fn a_recovered_out_of_memory_is_not_reacted_to_again() {
+    let mut server = Server::new(standard_classes());
+    let head = server.build_list("Node", 600, 48).unwrap();
+    let mut policed = Middleware::builder()
+        .cluster_size(10)
+        .device_memory(24 << 10)
+        .watermarks(Watermarks::new(60, 100))
+        .build(server);
+    let root = policed.replicate_root(head).unwrap();
+    policed.set_global("p0", Value::Ref(root));
+    let mut bare = list_world(600, 10, 24 << 10);
+    for mw in [&mut policed, &mut bare] {
+        let head = mw.global("p0").unwrap();
+        mw.set_global("cursor", head);
+    }
+    for step in 0..599 {
+        for mw in [&mut policed, &mut bare] {
+            let next = mw
+                .invoke_resilient(cursor(mw), "next", vec![], 100)
+                .unwrap();
+            mw.set_global("cursor", next);
+        }
+        assert_eq!(
+            detached(&policed),
+            detached(&bare),
+            "step {step}: no eviction beyond the recovery's"
+        );
+        let heap = policed.stats().heap;
+        assert_eq!(
+            heap.gc_runs, heap.minor_gc_runs,
+            "step {step}: a recovered out-of-memory ran a full collection"
+        );
+    }
+    assert!(
+        policed.stats().heap.minor_gc_runs > 0,
+        "the walk never recovered"
     );
 }
 

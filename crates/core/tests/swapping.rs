@@ -3,7 +3,7 @@
 
 #![allow(clippy::disallowed_methods)] // tests may panic on impossible states
 
-use obiwan_core::{Middleware, StoreSpec, SwapClusterState, SwapError, VictimPolicy};
+use obiwan_core::{Middleware, StoreSpec, SwapClusterState, SwapConfig, SwapError, VictimPolicy};
 use obiwan_heap::{ObjectKind, Value};
 use obiwan_net::{DeviceKind, FailurePlan};
 use obiwan_replication::{standard_classes, Server};
@@ -311,25 +311,62 @@ fn gc_cooperation_drops_blob_when_replacement_dies() {
     assert!(manager.stats().blobs_dropped >= 1);
 }
 
+/// A reload leaves its replacement-object behind as garbage, and nothing
+/// neutralizes it: its death must not drop the blob of the cluster's next
+/// swap-out. Only the cluster's current stand-in drops a blob when it dies.
 #[test]
-fn a_half_built_replacement_dying_does_not_drop_its_swapped_out_cluster() {
-    let (mut mw, root) = list_middleware(30, 10, 1 << 20);
+fn an_old_replacement_dying_after_a_reload_and_a_second_swap_out_drops_nothing() {
+    let mut server = Server::new(standard_classes());
+    let head = server.build_list("Node", 30, 16).unwrap();
+    let mut mw = Middleware::builder()
+        .cluster_size(10)
+        .device_memory(1 << 20)
+        .no_builtin_policies()
+        .stores(
+            (0..2)
+                .map(|i| StoreSpec::new(format!("store-{i}"), DeviceKind::Laptop, 1 << 20))
+                .collect(),
+        )
+        .swap_config(SwapConfig::default().replication_factor(2))
+        .build(server);
+    let root = mw.replicate_root(head).unwrap();
+    mw.set_global("head", Value::Ref(root));
     warm(&mut mw, root, 30);
     mw.run_gc().unwrap();
-    // Leave room for the replacement-object's base but not for the slot
-    // that holds cluster 2's outbound proxy: the detach fails halfway.
-    let used = mw.process().heap().bytes_used();
-    mw.process_mut().heap_mut().set_capacity(used + 30);
-    let err = mw.swap_out(2).unwrap_err();
-    assert!(err.is_out_of_memory(), "{err}");
-    // The retry succeeds, and its collection buries the half-built one.
-    mw.process_mut().heap_mut().set_capacity(1 << 20);
+    let manager = mw.manager();
+    let stand_in = |mw: &Middleware| match mw.manager().cluster(2).unwrap().state {
+        SwapClusterState::SwappedOut { replacement } => replacement,
+        other => panic!("cluster 2 is {other:?}"),
+    };
+
     mw.swap_out(2).unwrap();
+    let old = stand_in(&mw);
+    mw.swap_in(2).unwrap();
+    assert!(
+        mw.process().heap().is_live(old),
+        "retired, not yet collected"
+    );
+    mw.swap_out(2).unwrap();
+    let current = stand_in(&mw);
+    assert_ne!(current, old);
+    let (_, key, holders) = manager.holders_of(2).unwrap();
+    assert_eq!(holders.len(), 2);
+    let dropped = manager.stats().blobs_dropped;
+
     mw.run_gc().unwrap();
-    assert!(matches!(
-        mw.manager().cluster(2).unwrap().state,
-        SwapClusterState::SwappedOut { .. }
-    ));
+    assert!(
+        !mw.process().heap().is_live(old),
+        "the old replacement died"
+    );
+    assert_eq!(stand_in(&mw), current);
+    assert_eq!(manager.stats().blobs_dropped, dropped, "no blob dropped");
+    {
+        let net = mw.net();
+        let net = net.lock().unwrap();
+        for &holder in &holders {
+            assert!(net.holds_blob(holder, &key), "{holder:?} lost {key}");
+        }
+    }
     assert_eq!(mw.invoke_i64(root, "length", vec![]).unwrap(), 30);
 }
 

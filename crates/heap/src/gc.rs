@@ -3,9 +3,10 @@
 //! Roots are: all global variables (*swap-cluster-0*), every object whose
 //! header has `pinned` set, and the heap's extra root handles. Marking
 //! traverses `Ref` fields only; weak table entries are deliberately *not*
-//! roots. After the sweep, finalizable casualties are recorded for the
-//! middleware to drain via [`crate::Heap::take_finalized`] — this is how the
-//! SwappingManager learns that a replacement-object died and that the
+//! roots. The sweep hands every object it frees to the caller's hook
+//! ([`Heap::collect_with`]), and that hook is the one way the runtime
+//! hears of a death: the replication layer prunes its object tables there,
+//! and the SwappingManager learns that a replacement-object died, so the
 //! storing device may be instructed to drop the corresponding XML blob
 //! (paper §3, *Integration with GC Mechanisms*).
 //!
@@ -31,12 +32,14 @@
 //! unreachable one that no dead remembered object reaches.
 //!
 //! [`Heap::free_detached`] is the one way around the trace: the swap
-//! layer's swap-out frees a committed victim's members directly, in the
-//! sweep's order, unless a root still holds one of them, and debug builds
-//! re-run the mark to prove none of them was reachable.
+//! layer's swap-out frees a committed victim's application objects
+//! directly, in the sweep's order, unless a root still holds one of them,
+//! and debug builds re-run the mark to prove none of them was reachable.
+//! It frees nothing but application objects, so no proxy or
+//! replacement-object dies without the hook seeing it.
 
 use crate::heap::{slot_at, Slot, SlotBody, SlotSet};
-use crate::{ClassId, Heap, ObjRef, ObjectHeader, ObjectKind, Oid, Value};
+use crate::{Heap, ObjRef, ObjectHeader, ObjectKind, Value};
 
 /// Which collection to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,26 +63,6 @@ pub struct CollectStats {
     pub freed_bytes: usize,
     /// Objects that survived.
     pub live_objects: usize,
-    /// Finalization records produced by this collection.
-    pub finalized: usize,
-}
-
-/// Record of a finalizable object that was collected.
-///
-/// Carries everything the middleware's finalizer logic needs, because the
-/// object itself is already gone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finalized {
-    /// The (now dangling) handle the object had.
-    pub obj: ObjRef,
-    /// Runtime role the object had.
-    pub kind: ObjectKind,
-    /// Its class.
-    pub class: ClassId,
-    /// Its global identity tag.
-    pub oid: Oid,
-    /// Its swap-cluster tag.
-    pub swap_cluster: u32,
 }
 
 impl Heap {
@@ -101,8 +84,10 @@ impl Heap {
 
     /// Run a collection of the given kind, handing each object to
     /// `on_free` (its last handle and its header) just before its slot is
-    /// freed, so a runtime table keyed by the dead can drop their entries
-    /// without scanning itself.
+    /// freed. This hook is the only report of a death: a runtime table
+    /// keyed by the dead drops their entries here without scanning itself,
+    /// and a caller that must act on a death (a replacement-object's blob
+    /// drop) lists it here and acts once the collection returns.
     pub fn collect_with(
         &mut self,
         kind: Collection,
@@ -158,7 +143,7 @@ impl Heap {
 
     /// Free every used slot among `slots` (ascending, so the LIFO free list
     /// ends up in the same reuse order the old free stack produced) that
-    /// `live` rejects, recording finalization and reporting to `on_free`.
+    /// `live` rejects, reporting each to `on_free`.
     fn sweep(
         &mut self,
         slots: impl Iterator<Item = u32>,
@@ -183,16 +168,6 @@ impl Heap {
                 generation: *generation,
             };
             on_free(dead, &obj.header);
-            if obj.header.finalize {
-                self.finalized.push(Finalized {
-                    obj: dead,
-                    kind: obj.header.kind,
-                    class: obj.class,
-                    oid: obj.header.oid,
-                    swap_cluster: obj.header.swap_cluster,
-                });
-                stats.finalized += 1;
-            }
             self.free_slot(index);
             stats.freed_objects += 1;
         }
@@ -208,15 +183,17 @@ impl Heap {
     ///
     /// All or nothing. A root may still reach the set directly: a global or
     /// an extra root holds one of the objects, or one of them is pinned.
-    /// Then, or when one of them is finalizable, this frees nothing and
-    /// returns `None`; the set, and whatever it reaches, stays for the
-    /// collector. Otherwise it frees the live objects (stale handles are
-    /// skipped) in ascending slot order, the sweep's order, through the same
-    /// slot release, so generations, accounting and the free list end up
-    /// exactly as a collection that found these objects dead leaves them,
-    /// and returns how many it freed. A weak reference to a freed object
-    /// resolves to `None` at once through the generation check; a later
-    /// collection, the next full one at the latest, clears its entry.
+    /// Then, or when one of them is not an application object
+    /// ([`ObjectKind::App`], the only kind a detach hands over), this frees
+    /// nothing and returns `None`; the set, and whatever it reaches, stays
+    /// for the collector, whose hook reports every death. Otherwise it frees
+    /// the live objects (stale handles are skipped) in ascending slot order,
+    /// the sweep's order, through the same slot release, so generations,
+    /// accounting and the free list end up exactly as a collection that
+    /// found these objects dead leaves them, and returns how many it freed.
+    /// A weak reference to a freed object resolves to `None` at once
+    /// through the generation check; a later collection, the next full one
+    /// at the latest, clears its entry.
     ///
     /// Debug builds mark from the collector's roots before freeing and
     /// panic if any of the objects is reachable anyway, which only a field
@@ -232,7 +209,7 @@ impl Heap {
                 if *generation != r.generation {
                     continue;
                 }
-                if obj.header.pinned || obj.header.finalize {
+                if obj.header.pinned || obj.header.kind != ObjectKind::App {
                     return None;
                 }
                 doomed.push(r);
@@ -500,21 +477,18 @@ mod tests {
     }
 
     #[test]
-    fn finalizable_objects_are_reported_once() {
+    fn each_death_is_reported_to_the_hook_once() {
         let (mut heap, node) = setup();
         let a = heap.alloc(node, ObjectKind::Replacement).unwrap();
-        {
-            let h = heap.header_mut(a).unwrap();
-            h.finalize = true;
-            h.swap_cluster = 7;
-        }
-        let stats = heap.collect();
-        assert_eq!(stats.finalized, 1);
-        let fin = heap.take_finalized();
-        assert_eq!(fin.len(), 1);
-        assert_eq!(fin[0].kind, ObjectKind::Replacement);
-        assert_eq!(fin[0].swap_cluster, 7);
-        assert!(heap.take_finalized().is_empty(), "drained");
+        heap.header_mut(a).unwrap().swap_cluster = 7;
+        let mut dead = Vec::new();
+        let stats = heap.collect_with(Collection::Full, |r, h| {
+            dead.push((r, h.kind, h.swap_cluster));
+        });
+        assert_eq!(stats.freed_objects, 1);
+        assert_eq!(dead, vec![(a, ObjectKind::Replacement, 7)]);
+        let again = heap.collect_with(Collection::Full, |r, _| panic!("{r:?} died twice"));
+        assert_eq!(again.freed_objects, 0);
     }
 
     #[test]
@@ -616,12 +590,14 @@ mod tests {
     #[test]
     fn free_detached_leaves_a_set_that_a_root_holds_to_the_collector() {
         // Each way a root can hold slot 4 of the 4 <-> 6 cycle, and a
-        // finalizable member: nothing is freed, not even 6, which 4 reaches.
+        // member that is not an application object, whose death only the
+        // collector's hook may report: nothing is freed, not even 6, which
+        // 4 reaches.
         let holds: [fn(&mut Heap, ObjRef); 4] = [
             |h, r| h.header_mut(r).unwrap().pinned = true,
             |h, r| h.add_root(r),
             |h, r| h.set_global("leak", Value::Ref(r)),
-            |h, r| h.header_mut(r).unwrap().finalize = true,
+            |h, r| h.header_mut(r).unwrap().kind = ObjectKind::Replacement,
         ];
         for (case, hold) in holds.iter().enumerate() {
             let (mut heap, node) = setup();
@@ -752,20 +728,18 @@ mod tests {
     }
 
     #[test]
-    fn a_minor_collection_reports_young_finalizable_deaths_and_clears_young_weaks() {
+    fn a_minor_collection_reports_young_deaths_and_clears_young_weaks() {
         let (mut heap, node) = setup();
         let old = heap.alloc(node, ObjectKind::App).unwrap();
         let old_weak = heap.weak_ref(old).unwrap();
         heap.collect_minor(); // `old` was unreachable: freed
         assert_eq!(heap.weak_get(old_weak), None);
         let a = heap.alloc(node, ObjectKind::SwapProxy).unwrap();
-        heap.header_mut(a).unwrap().finalize = true;
         let w = heap.weak_ref(a).unwrap();
         let mut freed = Vec::new();
         let stats = heap.collect_with(Collection::Minor, |r, h| freed.push((r, h.kind)));
-        assert_eq!(stats.finalized, 1);
+        assert_eq!(stats.freed_objects, 1);
         assert_eq!(freed, vec![(a, ObjectKind::SwapProxy)]);
-        assert_eq!(heap.take_finalized()[0].obj, a);
         assert_eq!(heap.weak_get(w), None);
     }
 

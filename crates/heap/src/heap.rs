@@ -8,7 +8,6 @@
 //! on the alloc/free path for small layouts (see
 //! [`crate::object`]'s inline field store).
 
-use crate::gc::Finalized;
 use crate::object::{Object, ObjectHeader};
 use crate::weak::WeakTable;
 use crate::{ClassId, ClassRegistry, FieldId, HeapError, ObjectKind, Result, Value, WeakRef};
@@ -190,7 +189,6 @@ pub struct Heap {
     /// Old slots that may point into the young generation: the write
     /// barrier's remembered set.
     pub(crate) remembered: SlotSet,
-    pub(crate) finalized: Vec<Finalized>,
     pub(crate) bytes_used: usize,
     capacity: usize,
     pub(crate) live_objects: usize,
@@ -216,7 +214,6 @@ impl Heap {
             nursery: SlotSet::default(),
             survivors: SlotSet::default(),
             remembered: SlotSet::default(),
-            finalized: Vec::new(),
             bytes_used: 0,
             capacity,
             live_objects: 0,
@@ -639,14 +636,6 @@ impl Heap {
     /// Release a weak reference slot.
     pub fn weak_drop(&mut self, weak: WeakRef) {
         self.weak.drop_ref(weak);
-    }
-
-    /// Drain the records of finalizable objects freed by collections since
-    /// the last call. This is the C#-finalizer channel of the paper: the
-    /// SwappingManager learns here that a replacement-object died and that
-    /// the storing device may drop the blob.
-    pub fn take_finalized(&mut self) -> Vec<Finalized> {
-        std::mem::take(&mut self.finalized)
     }
 
     /// Iterate over the handles of all live objects (diagnostics, tests,

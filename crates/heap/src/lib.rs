@@ -17,10 +17,10 @@
 //!   adopted since the last collection, behind a write barrier;
 //! * **weak references** ([`WeakRef`]) back the SwappingManager's proxy
 //!   tables, exactly as the paper prescribes;
-//! * **finalization records** ([`Finalized`]) replace C# finalizers: after a
-//!   sweep the middleware drains [`Heap::take_finalized`] to learn which
-//!   finalizable objects died (e.g. a replacement-object whose death must
-//!   instruct the storing device to drop a blob);
+//! * **one death channel** replaces C# finalizers: the sweep hands each
+//!   object it frees to the caller's hook ([`Heap::collect_with`]), which is
+//!   how the middleware learns that, say, a replacement-object died and the
+//!   storing device must be instructed to drop a blob;
 //! * **byte-accurate accounting** with a hard capacity and watermarks powers
 //!   the memory-pressure events that trigger swapping.
 //!
@@ -67,7 +67,7 @@ pub use class::{
     ClassBuilder, ClassDescriptor, ClassId, ClassRegistry, FieldDescriptor, FieldId, FieldKind,
 };
 pub use error::HeapError;
-pub use gc::{CollectStats, Collection, Finalized};
+pub use gc::{CollectStats, Collection};
 pub use heap::{Heap, ObjRef};
 pub use object::{Object, ObjectHeader, ObjectKind, Oid};
 pub use stats::HeapStats;

@@ -67,9 +67,6 @@ pub struct ObjectHeader {
     pub swap_cluster: u32,
     /// Pinned objects are GC roots (middleware anchors).
     pub pinned: bool,
-    /// When true, the object's death is reported via
-    /// [`crate::Heap::take_finalized`] after the sweep that frees it.
-    pub finalize: bool,
 }
 
 impl ObjectHeader {
@@ -81,7 +78,6 @@ impl ObjectHeader {
             repl_cluster: 0,
             swap_cluster: 0,
             pinned: false,
-            finalize: false,
         }
     }
 }
@@ -278,7 +274,7 @@ mod tests {
         let h = ObjectHeader::new(ObjectKind::SwapProxy);
         assert_eq!(h.kind, ObjectKind::SwapProxy);
         assert_eq!(h.swap_cluster, 0);
-        assert!(!h.pinned && !h.finalize);
+        assert!(!h.pinned);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //!
 //! The paper's SwappingManager stores its per-swap-cluster proxy entries
 //! behind *weak references* so that the tables never keep a proxy alive; when
-//! a proxy becomes unreachable its finalizer prunes the entries. This module
-//! provides the weak half; finalization is in [`crate::gc`].
+//! a proxy becomes unreachable the paper's finalizer prunes the entries.
+//! Here a proxy has no finalizer: the collection that frees it clears its
+//! weak entries, so they resolve to `None`, and the manager compacts its
+//! tables from the count of dead proxies the sweep's hook reports
+//! ([`crate::Heap::collect_with`]).
 //!
 //! Entries are generational: a slot cleared by a sweep is recycled for new
 //! weak references, and any stale [`WeakRef`] still held by a table keeps

@@ -114,7 +114,8 @@ impl ContextManager {
     /// `free_storage` is asked only for the devices reported in a
     /// [`PolicyEvent::DeviceDiscovered`]: a device already known costs no
     /// lookup, and one that left and came back is discovered (and asked)
-    /// again. On a live fabric each lookup is a round trip to the store.
+    /// again. On a live fabric a lookup costs a round trip to the store
+    /// only when its client holds no figure from an earlier reply.
     pub fn observe_devices(
         &mut self,
         present: &[i64],

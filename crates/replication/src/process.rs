@@ -4,7 +4,9 @@ use crate::methods::{
     Universe, FAULT_PROXY_CLASS_NAME, REPLACEMENT_CLASS_NAME, SWAP_PROXY_CLASS_NAME,
 };
 use crate::{ReplError, ReplicationEvent, Result, SharedServer, WireValue};
-use obiwan_heap::{Collection, FieldId, Heap, ObjRef, Object, ObjectKind, Oid, Value};
+use obiwan_heap::{
+    Collection, FieldId, Heap, ObjRef, Object, ObjectHeader, ObjectKind, Oid, Value,
+};
 use std::collections::HashMap;
 
 /// Public name of the object-fault proxy class (see [`crate::Universe`]).
@@ -269,22 +271,45 @@ impl Process {
         !self.events.is_empty()
     }
 
+    /// How many replication events are pending.
+    pub fn pending_events(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Withdraw the [`ReplicationEvent::ReplicationFailed`] events queued
+    /// after the first `mark` pending ones: the caller recovered from those
+    /// failures, so no listener should react to them.
+    pub fn retract_failures_since(&mut self, mark: usize) {
+        let mut index = 0;
+        self.events.retain(|e| {
+            index += 1;
+            index <= mark || !matches!(e, ReplicationEvent::ReplicationFailed { .. })
+        });
+    }
+
     /// Run a collection of the given kind and drop the runtime tables'
     /// (object table, fault proxy registry) entries for the objects it
     /// freed — the equivalent of a VM object table holding its entries
     /// weakly. The work is per dead replica or fault proxy, not per entry.
+    /// Every death is then passed on to `on_dead` (its last handle and its
+    /// header): this is the one way a caller hears that an object died.
     /// Prefer this over collecting the raw heap.
-    pub fn collect(&mut self, kind: Collection) -> obiwan_heap::CollectStats {
+    pub fn collect(
+        &mut self,
+        kind: Collection,
+        mut on_dead: impl FnMut(ObjRef, &ObjectHeader),
+    ) -> obiwan_heap::CollectStats {
         let (replicas, fault_proxies) = (&mut self.oid_map, &mut self.fault_proxies);
         self.heap.collect_with(kind, |dead, header| {
             let table = match header.kind {
                 ObjectKind::App => &mut *replicas,
                 ObjectKind::FaultProxy => &mut *fault_proxies,
-                _ => return,
+                _ => return on_dead(dead, header),
             };
             if table.get(&header.oid) == Some(&dead) {
                 table.remove(&header.oid);
             }
+            on_dead(dead, header);
         })
     }
 
@@ -1023,6 +1048,28 @@ mod tests {
         let err2 = p.invoke_i64(root, "length", vec![]).unwrap_err();
         assert!(err2.is_out_of_memory(), "got {err2:?}");
         assert!(p.heap().bytes_used() >= bytes_after_collect);
+    }
+
+    #[test]
+    fn a_retraction_withdraws_only_the_failures_after_its_mark() {
+        let (mut p, head) = list_process(40, 10, 1_100);
+        let root = p.replicate_root(head).unwrap();
+        p.set_global("head", Value::Ref(root));
+        let failed = |p: &mut Process| p.invoke_i64(root, "length", vec![]).unwrap_err();
+        failed(&mut p);
+        let mark = p.pending_events();
+        failed(&mut p);
+        assert!(p.pending_events() > mark + 1, "a fault and a failure");
+        p.retract_failures_since(mark);
+        let events = p.take_events();
+        let is_failure =
+            |e: &ReplicationEvent| matches!(e, ReplicationEvent::ReplicationFailed { .. });
+        assert!(
+            events[..mark].iter().any(is_failure),
+            "earlier failures stay"
+        );
+        assert!(!events[mark..].iter().any(is_failure));
+        assert!(events.len() > mark, "other events stay");
     }
 
     #[test]

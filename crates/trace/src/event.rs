@@ -141,7 +141,8 @@ pub enum EventKind {
         /// Swap-cluster the marked proxy crossed into.
         sc: u32,
     },
-    /// A collection ran and its finalizers were processed.
+    /// A collection ran and the swapping layer acted on the deaths its
+    /// sweep reported (blob drops, proxy-table pruning).
     GcRun {
         /// Objects the collection freed.
         freed: u64,
